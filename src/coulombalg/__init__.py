@@ -55,7 +55,7 @@ from .groebner import (
     ring_map_kernel,
     subalgebra_membership,
 )
-from .morphisms import RingMorphism, identity_morphism, substitute
+from .morphisms import RingMorphism, identity_morphism
 from .parsing import parse_ast, parse_expression
 from .poly import ExactPolynomial, VariableTable, exact_divide
 from .printing import format_element, format_fraction, format_polynomial

@@ -64,6 +64,16 @@ class _Context:
         return code
 
 
+def _say_relations(ctx: _Context, relations) -> list[str]:
+    """Print one line per relation, or that there are none; return their texts."""
+    texts = [format_polynomial(r) for r in relations]
+    for text in texts:
+        ctx.say("relation: " + text)
+    if not texts:
+        ctx.say("relations: none")
+    return texts
+
+
 def _describe_presentation(ctx: _Context, pres) -> None:
     ctx.say(f"kind: {pres.kind}")
     ctx.say("variables: " + ", ".join(pres.table.names))
@@ -72,11 +82,7 @@ def _describe_presentation(ctx: _Context, pres) -> None:
         ctx.say("invertible: " + ", ".join(invertible))
     if pres.ring is not None:
         ctx.say("factors: " + ", ".join(factors_json(pres.ring.factors)))
-    if pres.relations:
-        for rel in pres.relations:
-            ctx.say("relation: " + format_polynomial(rel))
-    else:
-        ctx.say("relations: none")
+    relations = _say_relations(ctx, pres.relations)
     for name, value in pres.derived:
         ctx.say(f"derived {name} = {format_element(value)}")
     if pres.weyl:
@@ -92,7 +98,7 @@ def _describe_presentation(ctx: _Context, pres) -> None:
         "kind": pres.kind,
         "table": table_json(pres.table),
         "factors": factors_json(pres.ring.factors) if pres.ring is not None else [],
-        "relations": [format_polynomial(r) for r in pres.relations],
+        "relations": relations,
         "derived": {n: element_json(v) for n, v in pres.derived},
     }
 
@@ -157,7 +163,7 @@ def _cmd_membership(ctx: _Context) -> int:
 
 
 def _cmd_generators(ctx: _Context) -> int:
-    degree = ctx.args.degree or ctx.problem_file.degree_window
+    degree = ctx.problem_file.degree_window if ctx.args.degree is None else ctx.args.degree
     if ctx.problem.datum.su2_blocks == 0:
         gens = [
             (n, ctx.ring.fraction(p))
@@ -174,7 +180,7 @@ def _cmd_generators(ctx: _Context) -> int:
 
 def _presentation(ctx: _Context):
     gens = default_generators(ctx.ring, ctx.problem_file)
-    if ctx.args.degree and ctx.problem.datum.su2_blocks == 0:
+    if ctx.args.degree is not None and ctx.problem.datum.su2_blocks == 0:
         gens = [
             (n, ctx.ring.fraction(p))
             for n, p in coulomb.abelian_matter_generators(ctx.ring, ctx.args.degree)
@@ -185,24 +191,18 @@ def _presentation(ctx: _Context):
 def _cmd_presentation(ctx: _Context) -> int:
     pres = _presentation(ctx)
     ctx.say("generators: " + ", ".join(n for n, _ in pres.generators))
-    for rel in pres.relations:
-        ctx.say("relation: " + format_polynomial(rel))
-    if not pres.relations:
-        ctx.say("relations: none")
+    relations = _say_relations(ctx, pres.relations)
     ctx.payload["generators"] = {n: element_json(g) for n, g in pres.generators}
-    ctx.payload["relations"] = [format_polynomial(r) for r in pres.relations]
+    ctx.payload["relations"] = relations
     return 0
 
 
 def _cmd_mu_zero(ctx: _Context) -> int:
     fiber = coulomb.mu_zero_fiber(_presentation(ctx))
     ctx.say("variables: " + ", ".join(fiber.table.names))
-    for rel in fiber.relations:
-        ctx.say("relation: " + format_polynomial(rel))
-    if not fiber.relations:
-        ctx.say("relations: none")
+    relations = _say_relations(ctx, fiber.relations)
     ctx.payload["table"] = table_json(fiber.table)
-    ctx.payload["relations"] = [format_polynomial(r) for r in fiber.relations]
+    ctx.payload["relations"] = relations
     return 0
 
 
@@ -308,10 +308,7 @@ def main(argv=None) -> int:
         return 2
     try:
         code = _COMMANDS[args.command](ctx)
-    except (ProblemError, ExpressionError, MorphismError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except AlgebraError as exc:
+    except (ProblemError, ExpressionError, MorphismError, AlgebraError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return ctx.emit(code)

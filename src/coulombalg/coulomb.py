@@ -38,6 +38,7 @@ from .rootdata import (
     AmbientRing,
     CoulombProblem,
     Weight,
+    WeightFormRing,
     ambient_table,
     coordinate_names,
     weyl_generator_morphisms,
@@ -81,10 +82,7 @@ def blowup_relations(ring: AmbientRing) -> tuple[ExactPolynomial, ...]:
 
 def pure_branch(problem: CoulombProblem) -> RingPresentation:
     """The massive pure branch; SU(2) factors are presented on the blowup."""
-    if problem.datum.su2_blocks:
-        return blowup_presentation(problem)
-    ring = ambient_table(problem)
-    return RingPresentation(ring.table, (), "pure-torus", ring=ring)
+    return blowup_presentation(problem)
 
 
 def blowup_presentation(problem: CoulombProblem) -> RingPresentation:
@@ -139,10 +137,7 @@ def to_blowup_polynomial(ring: AmbientRing, f: Element) -> Optional[ExactPolynom
     regular; the expansion of the result reproduces the input.
     """
     frac = _as_fraction(ring, f)
-    block_tau = {
-        ring.tau_factor_index(ring.problem.datum.block_coordinate(k)): k
-        for k in range(ring.blocks)
-    }
+    block_tau = ring.block_tau_indices()
     tau_powers: dict[int, int] = {}
     for idx, exp in frac.denominator:
         if idx not in block_tau:
@@ -235,18 +230,14 @@ def _section_exponents(problem: CoulombProblem) -> list[dict[Weight, int]]:
     return out
 
 
-def euler_section(problem: CoulombProblem, target) -> SectionSpec:
+def euler_section(problem: CoulombProblem, target: WeightFormRing) -> SectionSpec:
     """The section z_i -> prod_nu (mu + <nu, .>)^{nu_i} over a target ring.
 
     ``target`` is the ambient ring (Cartan side) or the equivariant ring of
-    the ball model (eta side); both expose ``psi`` and ``factors``.
+    the ball model (eta side).
     """
     side = "tau" if isinstance(target, AmbientRing) else "eta"
-    z_names = (
-        target.z_names
-        if isinstance(target, AmbientRing)
-        else tuple(coordinate_names("z", problem.rank))
-    )
+    z_names = coordinate_names("z", problem.rank)
     entries = []
     for i, exps in enumerate(_section_exponents(problem)):
         num = target.factors.one()
@@ -355,8 +346,12 @@ class MembershipResult:
         return self.member
 
 
-def _weight_pairing(weight: Weight, exponents: Sequence[int]) -> int:
-    return sum(w * e for w, e in zip(weight, exponents))
+def _sector_powers(problem: CoulombProblem, m: Sequence[int]) -> dict[Weight, int]:
+    """Power of each distinct weight form by which translation multiplies z^m."""
+    powers = {}
+    for w in problem.distinct_weights():
+        powers[w] = sum(a * b for a, b in zip(w, m)) * problem.weights.count(w)
+    return powers
 
 
 def matter_membership(ring: AmbientRing, f: Element) -> MembershipResult:
@@ -381,20 +376,16 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
         return MembershipResult(False, offending=ring.factors.factors[idx])
     z_positions = [ring.table.index(n) for n in ring.z_names]
     sectors = frac.numerator.sector_split(z_positions)
-    distinct = ring.problem.distinct_weights()
-    multiplicity = {w: ring.problem.weights.count(w) for w in distinct}
     translated = ring.table.zero()
     for m in sorted(sectors, reverse=True):
         coeff = sectors[m]
         required: dict[int, int] = {}
         positive = ring.table.one()
-        for w in distinct:
-            pairing = _weight_pairing(w, m)
-            if pairing < 0:
-                idx = ring.psi_factor_index(w)
-                required[idx] = required.get(idx, 0) + (-pairing) * multiplicity[w]
-            elif pairing > 0:
-                positive = positive * ring.psi(w) ** (pairing * multiplicity[w])
+        for w, e in _sector_powers(ring.problem, m).items():
+            if e < 0:
+                required[ring.psi_factor_index(w)] = -e
+            elif e > 0:
+                positive = positive * ring.psi(w) ** e
         for idx in sorted(required):
             factor = ring.factors.factors[idx]
             for _ in range(required[idx]):
@@ -421,16 +412,11 @@ def _blowup_membership(ring: AmbientRing, frac: FactoredFraction) -> MembershipR
         if regular is None:
             raise AlgebraError("membership routes disagree; regular form not found")
         return MembershipResult(True, translated=ring.fraction(regular))
-    block_tau = {
-        ring.tau_factor_index(ring.problem.datum.block_coordinate(k))
-        for k in range(ring.blocks)
-    }
-    for idx, _ in translated.denominator:
-        if idx not in block_tau:
-            return MembershipResult(False, offending=ring.factors.factors[idx])
-    for idx, _ in translated.denominator:
-        return MembershipResult(False, offending=ring.factors.factors[idx])
-    raise AlgebraError("translate is polynomial yet not ideal-regular")
+    block_tau = ring.block_tau_indices()
+    # A translate outside the ideal has a denominator.  Report its first
+    # factor that is not a block tau, else its first factor.
+    idx, _ = min(translated.denominator, key=lambda factor: factor[0] in block_tau)
+    return MembershipResult(False, offending=ring.factors.factors[idx])
 
 
 def translation_regular_by_division(ring: AmbientRing, f: Element) -> bool:
@@ -480,8 +466,6 @@ def abelian_matter_generators(
     gens: list[tuple[str, ExactPolynomial]] = [("mu", ring.mu())]
     for j, name in enumerate(ring.tau_names):
         gens.append((name, ring.tau(j)))
-    distinct = problem.distinct_weights()
-    multiplicity = {w: problem.weights.count(w) for w in distinct}
     grid = sorted(
         itertools.product(range(-degree_window, degree_window + 1), repeat=problem.rank),
         reverse=True,
@@ -491,10 +475,9 @@ def abelian_matter_generators(
         if all(e == 0 for e in m):
             continue
         clearing = ring.table.one()
-        for w in distinct:
-            pairing = _weight_pairing(w, m)
-            if pairing < 0:
-                clearing = clearing * ring.psi(w) ** ((-pairing) * multiplicity[w])
+        for w, e in _sector_powers(problem, m).items():
+            if e < 0:
+                clearing = clearing * ring.psi(w) ** -e
         shift = [0] * len(ring.table)
         for pos, e in zip(z_positions, m):
             shift[pos] = e
@@ -563,26 +546,22 @@ def matter_presentation(
                 f"generator {name} is not in the matter subring"
                 + (f" (offending factor {format_polynomial(res.offending)})" if res.offending else "")
             )
+    images, ambient = named, ()
     if ring.blocks:
-        symmetrized = weyl_symmetrized_generators(ring, named)
         images = []
-        for name, g in symmetrized:
+        for name, g in weyl_symmetrized_generators(ring, named):
             poly = to_blowup_polynomial(ring, g)
             if poly is None:
                 raise AlgebraError(f"symmetrized generator {name} left the chart")
             images.append((name, ring.fraction(poly)))
-        relations = ring_map_kernel(images, ambient_relations=blowup_relations(ring))
-        kept = images
-    else:
-        images = [(n, g) for n, g in named]
-        relations = ring_map_kernel(images)
-        kept = images
+        ambient = blowup_relations(ring)
+    relations = ring_map_kernel(images, ambient_relations=ambient)
     return RingPresentation(
         relations.table,
         relations.generators,
         "matter-subring",
         ring=ring,
-        generators=tuple(kept),
+        generators=tuple(images),
     )
 
 

@@ -34,13 +34,6 @@ def _is_linear_in_plain_vars(p: ExactPolynomial) -> bool:
     return True
 
 
-def _is_single_variable(p: ExactPolynomial) -> bool:
-    if len(p.terms) != 1:
-        return False
-    (mono, coeff), = p.terms.items()
-    return coeff == 1 and sum(abs(e) for e in mono) == 1 and all(e >= 0 for e in mono)
-
-
 def _is_unit_monomial(p: ExactPolynomial) -> bool:
     if len(p.terms) != 1:
         return False
@@ -71,7 +64,7 @@ class FactorSet:
             _, lead = f.leading()
             if lead <= 0:
                 raise ValueError(f"factor not sign-normalized: {f!r}")
-            if not (_is_single_variable(f) or _is_unit_monomial(f) or _is_linear_in_plain_vars(f)):
+            if not (_is_unit_monomial(f) or _is_linear_in_plain_vars(f)):
                 raise ValueError(f"factor shape not supported: {f!r}")
             for g in seen:
                 if _proportional(f, g):
@@ -338,11 +331,9 @@ def unit_decompose(
                 break
             p = q
             extracted[idx] = extracted.get(idx, 0) + 1
-    if len(p.terms) != 1:
+    if not _is_unit_monomial(p):
         return None
     (mono, coeff), = p.terms.items()
-    if any(e != 0 and not p.table.laurent[i] for i, e in enumerate(mono)):
-        return None
     return coeff, mono, extracted
 
 

@@ -273,27 +273,12 @@ class EncodedRing:
     def block_size(self) -> int:
         return len(self.table) - len(self.tags)
 
-    def tag_position(self, i: int) -> int:
-        return self.block_size + i
-
     def encode(self, f: FactoredFraction) -> ExactPolynomial:
         """Polynomial standing for ``f`` after clearing declared denominators."""
-        width = len(self.table)
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in f.numerator.terms.items():
-            exps = [0] * width
-            for pos, exp in enumerate(mono):
-                if exp >= 0:
-                    exps[pos] = exp
-                else:
-                    exps[self.partner[pos]] = -exp
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        result = ExactPolynomial(self.table, terms)
+        result = self.encode_polynomial(f.numerator)
         for idx, exp in f.denominator:
-            aux = self.clear_aux[idx]
-            shift = [0] * width
-            shift[aux] = exp
+            shift = [0] * len(self.table)
+            shift[self.clear_aux[idx]] = exp
             result = result.monomial_shifted(tuple(shift))
         return result
 
@@ -358,11 +343,38 @@ def encode_ring(
     return enc
 
 
-def _collect_cleared(images: Sequence[FactoredFraction]) -> set[int]:
-    used: set[int] = set()
-    for img in images:
-        used.update(idx for idx, _ in img.denominator)
-    return used
+def _tagged_elimination(
+    factors: FactorSet,
+    generators: Sequence[tuple[str, FactoredFraction]],
+    ambient_relations: Sequence[ExactPolynomial],
+    extra: Sequence[FactoredFraction] = (),
+) -> tuple[EncodedRing, VariableTable, GroebnerBasis]:
+    """Elimination basis of the graph ideal that tags each named generator.
+
+    Denominators of the generators and of the ``extra`` elements get
+    auxiliary inverses.  Returns the encoded ring, the polynomial table on
+    the generator names and the basis under the order that eliminates every
+    non-tag variable.
+    """
+    names = [n for n, _ in generators]
+    elements = [img for _, img in generators] + list(extra)
+    cleared = {idx for img in elements for idx, _ in img.denominator}
+    enc = encode_ring(factors, cleared, tags=names, extra_relations=ambient_relations)
+    relations = list(enc.relations)
+    for i, (_, img) in enumerate(generators):
+        relations.append(enc.encode(img) - enc.tag_poly(i))
+    gb = buchberger(Ideal(enc.table, tuple(relations)), elimination_order(enc.block_size))
+    return enc, VariableTable(tuple(names), (False,) * len(names)), gb
+
+
+def _on_tags(
+    p: ExactPolynomial, enc: EncodedRing, tag_table: VariableTable
+) -> Optional[ExactPolynomial]:
+    """``p`` over the tag table, or None when it uses an eliminated variable."""
+    block = enc.block_size
+    if any(pos < block for pos in p.used_indices()):
+        return None
+    return ExactPolynomial(tag_table, {m[block:]: c for m, c in p.terms.items()})
 
 
 def ring_map_kernel(
@@ -380,30 +392,9 @@ def ring_map_kernel(
     names = [n for n, _ in images]
     if len(set(names)) != len(names):
         raise ValueError("generator names must be distinct")
-    factors = images[0][1].factors
-    enc = encode_ring(
-        factors,
-        _collect_cleared([img for _, img in images]),
-        tags=names,
-        extra_relations=ambient_relations,
-    )
-    relations = list(enc.relations)
-    for i, (_, img) in enumerate(images):
-        relations.append(enc.encode(img) - enc.tag_poly(i))
-    gb = buchberger(Ideal(enc.table, tuple(relations)), elimination_order(enc.block_size))
-
-    tag_table = VariableTable(tuple(names), (False,) * len(names))
-    kept: list[ExactPolynomial] = []
-    block = enc.block_size
-    for g in gb.basis:
-        if all(pos >= block for pos in g.used_indices()):
-            kept.append(
-                ExactPolynomial(
-                    tag_table,
-                    {mono[block:]: c for mono, c in g.terms.items()},
-                )
-            )
-    return Ideal(tag_table, tuple(kept))
+    enc, tag_table, gb = _tagged_elimination(images[0][1].factors, images, ambient_relations)
+    kept = [_on_tags(g, enc, tag_table) for g in gb.basis]
+    return Ideal(tag_table, tuple(g for g in kept if g is not None))
 
 
 @dataclass(frozen=True)
@@ -431,21 +422,9 @@ def subalgebra_membership(
     """
     if not generators:
         raise ValueError("no generators supplied")
-    names = [n for n, _ in generators]
-    factors = f.factors
-    cleared = _collect_cleared([img for _, img in generators] + [f])
-    enc = encode_ring(factors, cleared, tags=names, extra_relations=ambient_relations)
-    relations = list(enc.relations)
-    for i, (_, img) in enumerate(generators):
-        relations.append(enc.encode(img) - enc.tag_poly(i))
-    gb = buchberger(Ideal(enc.table, tuple(relations)), elimination_order(enc.block_size))
-    h = gb.reduce(enc.encode(f))
-    block = enc.block_size
-    tag_table = VariableTable(tuple(names), (False,) * len(names))
-    if all(pos >= block for pos in h.used_indices()):
-        witness = ExactPolynomial(tag_table, {m[block:]: c for m, c in h.terms.items()})
-        return TagMembership(True, witness, tag_table)
-    return TagMembership(False, None, tag_table)
+    enc, tag_table, gb = _tagged_elimination(f.factors, generators, ambient_relations, (f,))
+    witness = _on_tags(gb.reduce(enc.encode(f)), enc, tag_table)
+    return TagMembership(witness is not None, witness, tag_table)
 
 
 def evaluate_tags(

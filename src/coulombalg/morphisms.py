@@ -53,9 +53,6 @@ class RingMorphism:
                     )
         object.__setattr__(self, "images", imgs)
 
-    def image_of(self, name: str) -> FactoredFraction:
-        return self.images[name]
-
     def __call__(self, element) -> FactoredFraction:
         if isinstance(element, ExactPolynomial):
             return self.apply_polynomial(element)
@@ -110,8 +107,3 @@ class RingMorphism:
 def identity_morphism(factors: FactorSet, kind: str = "identity") -> RingMorphism:
     table = factors.table
     return RingMorphism(table, factors, {n: factors.var(n) for n in table.names}, kind=kind)
-
-
-def substitute(p, morphism: RingMorphism) -> FactoredFraction:
-    """Image of a polynomial or fraction under the homomorphism extension."""
-    return morphism(p)

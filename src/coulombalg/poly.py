@@ -129,13 +129,6 @@ class ExactPolynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in mono) for mono in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant:
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
     def is_term(self) -> bool:
         return len(self.terms) == 1
 
@@ -157,10 +150,6 @@ class ExactPolynomial:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self.terms)
         return mono, self.terms[mono]
-
-    def sort_key(self) -> tuple:
-        """Canonical comparison key (used to order factor lists and term dumps)."""
-        return tuple((m, c) for m, c in self.sorted_terms())
 
     # Arithmetic ----------------------------------------------------------------
 
@@ -267,11 +256,6 @@ class ExactPolynomial:
             return self.table.unit_monomial()
         mins = [min(m[i] for m in self.terms) for i in range(len(self.table))]
         return tuple(mins)
-
-    def max_exponents(self) -> Monomial:
-        if self.is_zero:
-            return self.table.unit_monomial()
-        return tuple(max(m[i] for m in self.terms) for i in range(len(self.table)))
 
     def sector_split(self, positions: Iterable[int]) -> dict[Monomial, "ExactPolynomial"]:
         """Group terms by their exponents at ``positions``.
@@ -396,7 +380,3 @@ def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolyno
                 remainder.pop(target, None)
     shift_back = tuple(a - b for a, b in zip(p_shift, d_shift))
     return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
-
-
-def divides(d: ExactPolynomial, p: ExactPolynomial) -> bool:
-    return exact_divide(p, d) is not None

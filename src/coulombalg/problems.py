@@ -62,7 +62,7 @@ def parse_problem_text(text: str) -> ProblemFile:
                 weights.append(tuple(int(c) for c in value.split()))
             elif key == "degree_window":
                 degree_window = int(value)
-            elif key.startswith("generator"):
+            elif key.split()[:1] == ["generator"]:
                 parts = key.split()
                 if len(parts) != 2:
                     raise ProblemError(
@@ -85,7 +85,11 @@ def parse_problem_text(text: str) -> ProblemFile:
 
 
 def load_problem(path) -> ProblemFile:
-    return parse_problem_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_problem_text(text)
 
 
 # ---------------------------------------------------------------------------

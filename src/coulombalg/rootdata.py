@@ -55,15 +55,6 @@ class RootDatum:
             raise IndexError(f"no SU(2) block {block}")
         return self.torus_rank + block
 
-    def roots(self) -> list[tuple[Weight, Weight]]:
-        """(root form on tau, coroot exponent vector on z) per SU(2) block."""
-        out = []
-        for k in range(self.su2_blocks):
-            e = [0] * self.rank
-            e[self.block_coordinate(k)] = 1
-            out.append((tuple(e), tuple(e)))
-        return out
-
 
 @dataclass(frozen=True)
 class CoulombProblem:
@@ -114,8 +105,65 @@ class CoulombProblem:
         return seen
 
 
+def weight_form(
+    table: VariableTable, cartan_names: Sequence[str], weight: Weight
+) -> ExactPolynomial:
+    """Mass-shifted weight pairing mu + <weight, cartan>."""
+    coeffs = {"mu": 1}
+    for j, c in enumerate(weight):
+        if c:
+            coeffs[cartan_names[j]] = c
+    return table.linear_form(coeffs)
+
+
+def weight_form_table(
+    problem: CoulombProblem, cartan_names: Sequence[str], more: Sequence[tuple[str, bool]] = ()
+) -> tuple[VariableTable, FactorSet]:
+    """Table and factors of a ring localized at the weight forms of a problem.
+
+    The table lists mu, the Cartan variables, then the ``(name, invertible)``
+    entries of ``more``.  The factors are the Cartan variables, the form of
+    each distinct weight in first-occurrence order, then the invertible
+    variables.  Every form contains mu and no Cartan variable does, and
+    distinct weights give distinct forms, so no factor repeats.
+    """
+    table = VariableTable.make([("mu", False)] + [(n, False) for n in cartan_names] + list(more))
+    factors = [table.var(n) for n in cartan_names]
+    factors += [weight_form(table, cartan_names, w) for w in problem.distinct_weights()]
+    factors += [table.var(n) for n, invertible in more if invertible]
+    return table, FactorSet(table, tuple(factors))
+
+
+class WeightFormRing:
+    """Lookups shared by the rings ``weight_form_table`` builds.
+
+    ``cartan_names`` names the variables the weights pair with.
+    """
+
+    problem: CoulombProblem
+    table: VariableTable
+    factors: FactorSet
+    cartan_names: tuple[str, ...]
+
+    def mu(self) -> ExactPolynomial:
+        return self.table.var("mu")
+
+    def psi(self, weight: Weight) -> ExactPolynomial:
+        """Mass-shifted weight pairing mu + <weight, cartan>."""
+        return weight_form(self.table, self.cartan_names, weight)
+
+    def psi_factor_index(self, weight: Weight) -> int:
+        idx = self.factors.index_of(self.psi(weight))
+        if idx is None:
+            raise KeyError(f"weight {weight} has no declared factor")
+        return idx
+
+    def fraction(self, p: ExactPolynomial) -> FactoredFraction:
+        return self.factors.from_polynomial(p)
+
+
 @dataclass(frozen=True)
-class AmbientRing:
+class AmbientRing(WeightFormRing):
     """Variable table and multiplicative set a problem induces.
 
     Table significance order: mu, tau variables, blowup u variables, then
@@ -140,8 +188,9 @@ class AmbientRing:
     def blocks(self) -> int:
         return self.problem.datum.su2_blocks
 
-    def mu(self) -> ExactPolynomial:
-        return self.table.var("mu")
+    @property
+    def cartan_names(self) -> tuple[str, ...]:
+        return self.tau_names
 
     def z(self, i: int) -> ExactPolynomial:
         return self.table.var(self.z_names[i])
@@ -152,25 +201,13 @@ class AmbientRing:
     def u(self, k: int) -> ExactPolynomial:
         return self.table.var(self.u_names[k])
 
-    def psi(self, weight: Weight) -> ExactPolynomial:
-        """Mass-shifted weight pairing mu + <weight, tau>."""
-        coeffs = {"mu": 1}
-        for j, c in enumerate(weight):
-            if c:
-                coeffs[self.tau_names[j]] = c
-        return self.table.linear_form(coeffs)
-
     def tau_factor_index(self, j: int) -> int:
         return self.factors.index_of(self.tau(j))
 
-    def psi_factor_index(self, weight: Weight) -> int:
-        idx = self.factors.index_of(self.psi(weight))
-        if idx is None:
-            raise KeyError(f"weight {weight} has no declared factor")
-        return idx
-
-    def fraction(self, p: ExactPolynomial) -> FactoredFraction:
-        return self.factors.from_polynomial(p)
+    def block_tau_indices(self) -> set[int]:
+        """Factor indices of the Cartan variables owned by SU(2) blocks."""
+        datum = self.problem.datum
+        return {self.tau_factor_index(datum.block_coordinate(k)) for k in range(self.blocks)}
 
 
 def coordinate_names(prefix: str, count: int) -> list[str]:
@@ -187,31 +224,16 @@ def ambient_table(problem: CoulombProblem) -> AmbientRing:
     z_names = tuple(coordinate_names("z", r))
     tau_names = tuple(coordinate_names("tau", r))
     u_names = tuple(coordinate_names("u", b))
-    entries = [("mu", False)]
-    entries += [(n, False) for n in tau_names]
-    entries += [(n, False) for n in u_names]
-    entries += [(n, True) for n in z_names]
-    table = VariableTable.make(entries)
-
-    factor_polys: list[ExactPolynomial] = [table.var(n) for n in tau_names]
-    mu = table.var("mu")
-    for w in problem.distinct_weights():
-        psi = mu + sum(
-            (table.var(tau_names[j]).scaled(c) for j, c in enumerate(w) if c),
-            table.zero(),
-        )
-        if not any(psi == f for f in factor_polys):
-            factor_polys.append(psi)
-    factor_polys += [table.var(n) for n in z_names]
-    ring = AmbientRing(
+    more = [(n, False) for n in u_names] + [(n, True) for n in z_names]
+    table, factors = weight_form_table(problem, tau_names, more)
+    return AmbientRing(
         problem=problem,
         table=table,
-        factors=FactorSet(table, tuple(factor_polys)),
+        factors=factors,
         z_names=z_names,
         tau_names=tau_names,
         u_names=u_names,
     )
-    return ring
 
 
 def weyl_generator_morphisms(ring: AmbientRing) -> list[RingMorphism]:

@@ -28,11 +28,17 @@ from .errors import MorphismError
 from .fracs import FactoredFraction, FactorSet
 from .morphisms import RingMorphism
 from .poly import ExactPolynomial, VariableTable
-from .rootdata import AmbientRing, CoulombProblem, Weight, coordinate_names
+from .rootdata import (
+    AmbientRing,
+    CoulombProblem,
+    WeightFormRing,
+    coordinate_names,
+    weight_form_table,
+)
 
 
 @dataclass(frozen=True)
-class EquivariantRing:
+class EquivariantRing(WeightFormRing):
     """Polynomial ring on (mu, eta) with the weight forms declared invertible-to-be."""
 
     problem: CoulombProblem
@@ -44,44 +50,19 @@ class EquivariantRing:
     def weyl_flagged(self) -> bool:
         return self.problem.datum.su2_blocks > 0
 
-    def mu(self) -> ExactPolynomial:
-        return self.table.var("mu")
+    @property
+    def cartan_names(self) -> tuple[str, ...]:
+        return self.eta_names
 
     def eta(self, j: int) -> ExactPolynomial:
         return self.table.var(self.eta_names[j])
-
-    def psi(self, weight: Weight) -> ExactPolynomial:
-        coeffs = {"mu": 1}
-        for j, c in enumerate(weight):
-            if c:
-                coeffs[self.eta_names[j]] = c
-        return self.table.linear_form(coeffs)
-
-    def psi_factor_index(self, weight: Weight) -> int:
-        idx = self.factors.index_of(self.psi(weight))
-        if idx is None:
-            raise KeyError(f"weight {weight} has no declared factor")
-        return idx
-
-    def fraction(self, p: ExactPolynomial) -> FactoredFraction:
-        return self.factors.from_polynomial(p)
 
 
 @lru_cache(maxsize=None)
 def equivariant_ring(problem: CoulombProblem) -> EquivariantRing:
     eta_names = tuple(coordinate_names("eta", problem.rank))
-    entries = [("mu", False)] + [(n, False) for n in eta_names]
-    table = VariableTable.make(entries)
-    factor_polys = [table.var(n) for n in eta_names]
-    mu = table.var("mu")
-    for w in problem.distinct_weights():
-        psi = mu + sum(
-            (table.var(eta_names[j]).scaled(c) for j, c in enumerate(w) if c),
-            table.zero(),
-        )
-        if not any(psi == f for f in factor_polys):
-            factor_polys.append(psi)
-    return EquivariantRing(problem, table, FactorSet(table, tuple(factor_polys)), eta_names)
+    table, factors = weight_form_table(problem, eta_names)
+    return EquivariantRing(problem, table, factors, eta_names)
 
 
 def seidel_operator(ring: EquivariantRing, weight: Sequence[int]) -> ExactPolynomial:
@@ -118,12 +99,8 @@ def symplectic_cohomology(problem: CoulombProblem) -> LocalizedRing:
     the same ring since the operator is their product.
     """
     ring = equivariant_ring(problem)
-    inverted = []
-    for w in problem.distinct_weights():
-        idx = ring.psi_factor_index(w)
-        if idx not in inverted:
-            inverted.append(idx)
-    return LocalizedRing(ring, tuple(inverted))
+    inverted = tuple(ring.psi_factor_index(w) for w in problem.distinct_weights())
+    return LocalizedRing(ring, inverted)
 
 
 @lru_cache(maxsize=None)

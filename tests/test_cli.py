@@ -55,6 +55,22 @@ def test_input_errors_exit_2(capsys, u1_file, tmp_path):
     assert code == 2
 
 
+def test_non_utf8_problem_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.prob"
+    path.write_bytes(U1.encode() + "# caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "sh", "--problem", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["generators", "presentation", "mu-zero"])
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_degree_below_one_exits_2(capsys, u1_file, command, degree):
+    code, out, err = run(capsys, command, "--problem", u1_file, "--degree", degree)
+    assert (code, out) == (2, "")
+    assert "degree window must be at least 1" in err
+
+
 def test_presentation_default_generators(capsys, u1_file):
     code, out, _ = run(capsys, "presentation", "--problem", u1_file)
     assert code == 0

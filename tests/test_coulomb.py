@@ -24,6 +24,7 @@ from coulombalg import (
     matter_membership,
     matter_presentation,
     mu_zero_fiber,
+    parse_expression,
     pure_branch,
     reynolds,
     ring_map_kernel,
@@ -238,6 +239,23 @@ def test_membership_xy_su2(su2_standard):
     for name in ("x", "y"):
         assert matter_membership(ring, gens[name]).member
     assert not matter_membership(ring, ring.fraction(ring.z(0))).member
+
+
+@pytest.mark.parametrize(
+    "text, offending",
+    [("1/tau", "tau"), ("z/tau", "mu - tau"), ("z", "mu - tau"), ("u", "mu - tau")],
+)
+def test_blowup_offending_factor(su2_standard, text, offending):
+    # The first denominator factor of the translate that is not a block tau,
+    # else the first one: the translate of z/tau has denominator tau*(mu - tau).
+    ring = su2_standard
+    f = parse_expression(text, ring.factors)
+    res = matter_membership(ring, f)
+    assert not res.member
+    assert format_polynomial(res.offending) == offending
+    if text == "z/tau":
+        translated = euler_translation(ring)(expand(ring, f))
+        assert translated.denominator[0][0] == ring.tau_factor_index(0)
 
 
 def test_member_set_closed_under_ring_ops(u1_pm1):

@@ -38,6 +38,13 @@ def test_parse_errors():
         parse_problem_text("torus_rank = 1\nweight = 1 2\n")  # wrong length
 
 
+def test_generator_key_is_a_whole_word():
+    with pytest.raises(ProblemError, match="unknown key 'generatorfoo x'"):
+        parse_problem_text(U1 + "generatorfoo x = z\n")
+    with pytest.raises(ProblemError, match="unknown key 'generators'"):
+        parse_problem_text(U1 + "generators = z\n")
+
+
 def test_generator_overrides_win():
     pf = parse_problem_text(U1 + "generator a = mu + tau\n")
     ring = ambient_table(pf.problem())
