@@ -162,30 +162,26 @@ def _cmd_membership(ctx: _Context) -> int:
     return 1
 
 
-def _cmd_generators(ctx: _Context) -> int:
-    degree = ctx.problem_file.degree_window if ctx.args.degree is None else ctx.args.degree
-    if ctx.problem.datum.su2_blocks == 0:
-        gens = [
+def _generators(ctx: _Context):
+    """The file's generators; on abelian problems --degree picks the window."""
+    if ctx.args.degree is not None and ctx.problem.datum.su2_blocks == 0:
+        return [
             (n, ctx.ring.fraction(p))
-            for n, p in coulomb.abelian_matter_generators(ctx.ring, degree)
+            for n, p in coulomb.abelian_matter_generators(ctx.ring, ctx.args.degree)
         ]
-    else:
-        gens = default_generators(ctx.ring, ctx.problem_file)
+    return default_generators(ctx.ring, ctx.problem_file)
+
+
+def _cmd_generators(ctx: _Context) -> int:
     ctx.payload["generators"] = {}
-    for name, g in gens:
+    for name, g in _generators(ctx):
         ctx.say(f"{name} = {format_element(g)}")
         ctx.payload["generators"][name] = element_json(g)
     return 0
 
 
 def _presentation(ctx: _Context):
-    gens = default_generators(ctx.ring, ctx.problem_file)
-    if ctx.args.degree is not None and ctx.problem.datum.su2_blocks == 0:
-        gens = [
-            (n, ctx.ring.fraction(p))
-            for n, p in coulomb.abelian_matter_generators(ctx.ring, ctx.args.degree)
-        ]
-    return coulomb.matter_presentation(ctx.ring, presentation_order(ctx.ring, gens))
+    return coulomb.matter_presentation(ctx.ring, presentation_order(ctx.ring, _generators(ctx)))
 
 
 def _cmd_presentation(ctx: _Context) -> int:

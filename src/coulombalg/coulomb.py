@@ -33,7 +33,7 @@ from .groebner import (
     ring_map_kernel,
 )
 from .morphisms import RingMorphism, identity_morphism
-from .poly import ExactPolynomial, VariableTable, exact_divide
+from .poly import ExactPolynomial, VariableTable, divide_out
 from .rootdata import (
     AmbientRing,
     CoulombProblem,
@@ -115,7 +115,7 @@ def expansion_morphism(ring: AmbientRing) -> RingMorphism:
         images[ring.u_names[k]] = FactoredFraction(
             ring.factors, ring.z(pos) - ring.table.one(), ((tau_idx, 1),)
         )
-    return RingMorphism(ring.table, ring.factors, images, kind="blowup-expansion")
+    return RingMorphism(ring.table, ring.factors, images)
 
 
 def expand(ring: AmbientRing, f: Element) -> FactoredFraction:
@@ -143,29 +143,19 @@ def to_blowup_polynomial(ring: AmbientRing, f: Element) -> Optional[ExactPolynom
         if idx not in block_tau:
             return None
         tau_powers[idx] = exp
-    num = frac.numerator
-    # Strip negative block-z exponents: z_k is a unit of the chart.
-    shifts = [0] * len(ring.table)
+    # The z variables are units of the chart: strip their negative
+    # exponents before substituting z_k = 1 + tau_k*u_k, restore them after.
+    shifts = tuple(min(e, 0) for e in frac.numerator.min_exponents())
+    num = frac.numerator.monomial_shifted(tuple(-e for e in shifts))
     for k in range(ring.blocks):
         pos = ring.problem.datum.block_coordinate(k)
         z_pos = ring.table.index(ring.z_names[pos])
-        low = min((m[z_pos] for m in num.terms), default=0)
-        if low < 0:
-            shifts[z_pos] = low
-    num = num.monomial_shifted(tuple(-s for s in shifts))
-    for k in range(ring.blocks):
-        pos = ring.problem.datum.block_coordinate(k)
-        z_pos = ring.table.index(ring.z_names[pos])
-        replacement = ring.table.one() + ring.tau(pos) * ring.u(k)
-        num = num.assign_polynomial(z_pos, replacement)
+        num = num.assign_polynomial(z_pos, ring.table.one() + ring.tau(pos) * ring.u(k))
     for idx, exp in sorted(tau_powers.items()):
-        factor = ring.factors.factors[idx]
-        for _ in range(exp):
-            q = exact_divide(num, factor)
-            if q is None:
-                return None
-            num = q
-    return num.monomial_shifted(tuple(shifts))
+        num, divided = divide_out(num, ring.factors.factors[idx], exp)
+        if divided < exp:
+            return None
+    return num.monomial_shifted(shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +208,6 @@ class SectionSpec:
         )
 
 
-def _section_exponents(problem: CoulombProblem) -> list[dict[Weight, int]]:
-    """For each coordinate i, the exponent of each distinct weight form."""
-    out: list[dict[Weight, int]] = []
-    for i in range(problem.rank):
-        exps: dict[Weight, int] = {}
-        for w in problem.weights:
-            if w[i]:
-                exps[w] = exps.get(w, 0) + w[i]
-        out.append({w: e for w, e in exps.items() if e})
-    return out
-
-
 def euler_section(problem: CoulombProblem, target: WeightFormRing) -> SectionSpec:
     """The section z_i -> prod_nu (mu + <nu, .>)^{nu_i} over a target ring.
 
@@ -239,13 +217,14 @@ def euler_section(problem: CoulombProblem, target: WeightFormRing) -> SectionSpe
     side = "tau" if isinstance(target, AmbientRing) else "eta"
     z_names = coordinate_names("z", problem.rank)
     entries = []
-    for i, exps in enumerate(_section_exponents(problem)):
+    for i in range(problem.rank):
+        unit = [int(j == i) for j in range(problem.rank)]
         num = target.factors.one()
         den: dict[int, int] = {}
-        for w, e in sorted(exps.items()):
+        for w, e in sorted(_sector_powers(problem, unit).items()):
             if e > 0:
                 num = num * target.psi(w) ** e
-            else:
+            elif e < 0:
                 idx = target.psi_factor_index(w)
                 den[idx] = den.get(idx, 0) - e
         entry = FactoredFraction(target.factors, num.as_polynomial(), den.items())
@@ -270,18 +249,17 @@ def translate_by_section(ring: AmbientRing, section: SectionSpec) -> RingMorphis
     for k in range(ring.blocks):
         pos = ring.problem.datum.block_coordinate(k)
         s = entries[ring.z_names[pos]]
-        numerator = ring.z(pos) * s.numerator - s.denominator_polynomial()
-        z_pos = ring.table.index(ring.z_names[pos])
-        numerator = numerator.assign_polynomial(
-            z_pos, ring.table.one() + ring.tau(pos) * ring.u(k)
-        )
-        lifted = exact_divide(numerator, ring.tau(pos))
+        lifted = to_blowup_polynomial(ring, FactoredFraction(
+            ring.factors,
+            ring.z(pos) * s.numerator - s.denominator_polynomial(),
+            ((ring.tau_factor_index(pos), 1),),
+        ))
         if lifted is None:
             raise MorphismError(
                 f"section entry for {ring.z_names[pos]} does not lift to the blowup chart"
             )
         images[ring.u_names[k]] = FactoredFraction(ring.factors, lifted, s.denominator)
-    return RingMorphism(ring.table, ring.factors, images, kind="translation")
+    return RingMorphism(ring.table, ring.factors, images)
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +276,7 @@ def euler_translation(ring: AmbientRing) -> RingMorphism:
 def weyl_group(ring: AmbientRing) -> tuple[RingMorphism, ...]:
     """All 2^b signed-permutation morphisms the block involutions generate."""
     generators = weyl_generator_morphisms(ring)
-    elements = [identity_morphism(ring.factors, kind="weyl")]
+    elements = [identity_morphism(ring.factors)]
     for gen in generators:
         elements += [w.then(gen) for w in elements]
     return tuple(elements)
@@ -306,7 +284,7 @@ def weyl_group(ring: AmbientRing) -> tuple[RingMorphism, ...]:
 
 def reynolds(ring: AmbientRing, f: Element) -> FactoredFraction:
     """Average over the Weyl group; a projector onto invariants."""
-    value = expand(ring, _as_fraction(ring, f))
+    value = expand(ring, f)
     group = weyl_group(ring)
     total = ring.factors.zero()
     for w in group:
@@ -315,7 +293,7 @@ def reynolds(ring: AmbientRing, f: Element) -> FactoredFraction:
 
 
 def is_weyl_invariant(ring: AmbientRing, f: Element) -> bool:
-    value = expand(ring, _as_fraction(ring, f))
+    value = expand(ring, f)
     return reynolds(ring, value) == value
 
 
@@ -388,11 +366,9 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
                 positive = positive * ring.psi(w) ** e
         for idx in sorted(required):
             factor = ring.factors.factors[idx]
-            for _ in range(required[idx]):
-                q = exact_divide(coeff, factor)
-                if q is None:
-                    return MembershipResult(False, offending=factor)
-                coeff = q
+            coeff, divided = divide_out(coeff, factor, required[idx])
+            if divided < required[idx]:
+                return MembershipResult(False, offending=factor)
         shift = [0] * len(ring.table)
         for pos, e in zip(z_positions, m):
             shift[pos] = e
@@ -427,7 +403,7 @@ def translation_regular_by_division(ring: AmbientRing, f: Element) -> bool:
     denominator (abelian) or only block-tau denominators that the chart
     absorbs (SU(2) blocks).
     """
-    translated = euler_translation(ring)(expand(ring, _as_fraction(ring, f)))
+    translated = euler_translation(ring)(expand(ring, f))
     if ring.blocks == 0:
         return translated.is_polynomial
     return to_blowup_polynomial(ring, translated) is not None
@@ -503,8 +479,9 @@ def weyl_symmetrized_generators(
     average, so only pairs of non-invariant generators add anything to the
     generated subalgebra.  Results are deduplicated up to scalar.
     """
-    expanded = [(n, expand(ring, _as_fraction(ring, g))) for n, g in generators]
-    invariant = {n: reynolds(ring, g) == g for n, g in expanded}
+    expanded = [(n, expand(ring, g)) for n, g in generators]
+    averages = [reynolds(ring, g) for _, g in expanded]
+    invariant = {n: a == g for (n, g), a in zip(expanded, averages)}
     out: list[tuple[str, FactoredFraction]] = []
     seen: list[FactoredFraction] = []
 
@@ -517,8 +494,8 @@ def weyl_symmetrized_generators(
         seen.append(marker)
         out.append((name, value))
 
-    for name, g in expanded:
-        push(name if invariant[name] else f"s_{name}", reynolds(ring, g))
+    for (name, _), average in zip(expanded, averages):
+        push(name if invariant[name] else f"s_{name}", average)
     for i, (n1, g1) in enumerate(expanded):
         for n2, g2 in expanded[i:]:
             if invariant[n1] or invariant[n2]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import ReductionError, TableMismatchError
-from .poly import ExactPolynomial, Monomial, VariableTable, exact_divide
+from .poly import ExactPolynomial, Monomial, VariableTable, divide_out, exact_divide
 
 
 def _is_linear_in_plain_vars(p: ExactPolynomial) -> bool:
@@ -230,16 +230,13 @@ class FactoredFraction:
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.factors.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        # Declared factors are irreducible, so no power of a reduced
+        # numerator gains a factor of the denominator.
+        return FactoredFraction(
+            self.factors,
+            self.numerator ** exponent,
+            ((idx, exp * exponent) for idx, exp in self.denominator),
+        )
 
     def inverse(self) -> "FactoredFraction":
         """Invert a unit of the localization.
@@ -300,14 +297,9 @@ def _reduce(
             shift = tuple(-e * exp for e in mono)
             num = num.monomial_shifted(shift).scaled(Fraction(1) / coeff ** exp)
             continue
-        while exp > 0:
-            q = exact_divide(num, f)
-            if q is None:
-                break
-            num = q
-            exp -= 1
-        if exp:
-            out[idx] = exp
+        num, divided = divide_out(num, f, exp)
+        if exp > divided:
+            out[idx] = exp - divided
     return num, out
 
 
@@ -325,12 +317,9 @@ def unit_decompose(
     for idx, f in enumerate(factors.factors):
         if _is_unit_monomial(f):
             continue  # invertible-monomial content lands in the monomial part
-        while True:
-            q = exact_divide(p, f)
-            if q is None:
-                break
-            p = q
-            extracted[idx] = extracted.get(idx, 0) + 1
+        p, divided = divide_out(p, f)
+        if divided:
+            extracted[idx] = divided
     if not _is_unit_monomial(p):
         return None
     (mono, coeff), = p.terms.items()

@@ -6,13 +6,18 @@ and declared denominators are cleared with auxiliary inverses in the same
 way.  The basis computation uses the normal selection strategy with the
 product and chain criteria, deterministic tie-breaking by generator index,
 and returns the unique reduced basis for the chosen order.
+
+A monomial order is its sort key: a function from an exponent tuple to a
+value that compares like the monomial (``LEX``, ``GREVLEX`` and the block
+orders of ``elimination_order``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from .fracs import FactoredFraction, FactorSet
 from .poly import ExactPolynomial, Monomial, VariableTable
@@ -22,44 +27,34 @@ from .poly import ExactPolynomial, Monomial, VariableTable
 # ---------------------------------------------------------------------------
 
 
+# A total order on monomials, compatible with multiplication, given as its
+# sort key: the larger key is the larger monomial.
+MonomialOrder = Callable[[Monomial], tuple]
+
+
 def _grevlex_key(exps: Sequence[int]) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total order on monomials, compatible with multiplication.
-
-    kind "lex" compares exponents position by position; "grevlex" by total
-    degree with graded reverse lexicographic tie-breaking; "block" eliminates
-    the first ``block`` variables (grevlex inside each block).
-    """
-
-    kind: str
-    block: int = 0
-
-    def key(self, mono: Monomial) -> tuple:
-        if self.kind == "lex":
-            return tuple(mono)
-        if self.kind == "grevlex":
-            return _grevlex_key(mono)
-        if self.kind == "block":
-            return (_grevlex_key(mono[: self.block]), _grevlex_key(mono[self.block :]))
-        raise ValueError(f"unknown order kind {self.kind!r}")
+def _block_key(block: int, mono: Monomial) -> tuple:
+    return (_grevlex_key(mono[:block]), _grevlex_key(mono[block:]))
 
 
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
+# Position by position, first position strongest.
+LEX: MonomialOrder = tuple
+# Total degree, ties broken graded reverse lexicographically.
+GREVLEX: MonomialOrder = _grevlex_key
 
 
 def elimination_order(first_block_size: int) -> MonomialOrder:
-    return MonomialOrder("block", first_block_size)
+    """Eliminates the first ``first_block_size`` variables, grevlex in each block."""
+    return partial(_block_key, first_block_size)
 
 
 def leading_monomial(p: ExactPolynomial, order: MonomialOrder) -> Monomial:
     if p.is_zero:
         raise ValueError("zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
+    return max(p.terms, key=order)
 
 
 def _monomial_divides(d: Monomial, m: Monomial) -> bool:
@@ -109,7 +104,7 @@ def normal_form(
     remainder: dict[Monomial, Fraction] = {}
     cofactors = [table.zero() for _ in basis] if track else None
     while work:
-        mono = max(work, key=order.key)
+        mono = max(work, key=order)
         coeff = work.pop(mono)
         for gi, lm, g in leads:
             if _monomial_divides(lm, mono):
@@ -190,7 +185,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     while pairs:
         i, j = min(
             pairs,
-            key=lambda ij: (order.key(_monomial_lcm(leads[ij[0]], leads[ij[1]])), ij),
+            key=lambda ij: (order(_monomial_lcm(leads[ij[0]], leads[ij[1]])), ij),
         )
         pairs.discard((i, j))
         li, lj = leads[i], leads[j]
@@ -225,7 +220,7 @@ def _interreduce(basis: list[ExactPolynomial], order: MonomialOrder) -> list[Exa
     # Minimalize: drop elements whose leading monomial another one divides.
     items = sorted(
         (g for g in basis if not g.is_zero),
-        key=lambda g: order.key(leading_monomial(g, order)),
+        key=lambda g: order(leading_monomial(g, order)),
     )
     minimal: list[ExactPolynomial] = []
     for g in items:
@@ -240,7 +235,7 @@ def _interreduce(basis: list[ExactPolynomial], order: MonomialOrder) -> list[Exa
         h = normal_form(g, others, order)
         h = h.scaled(Fraction(1) / h.terms[leading_monomial(h, order)])
         reduced.append(h)
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
+    reduced.sort(key=lambda g: order(leading_monomial(g, order)), reverse=True)
     return reduced
 
 

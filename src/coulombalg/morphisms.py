@@ -19,16 +19,11 @@ from .poly import ExactPolynomial, VariableTable
 
 @dataclass(frozen=True)
 class RingMorphism:
-    """Substitution map from a source table into a target localized ring.
-
-    ``kind`` is free-form metadata ("weyl", "translation", "euler-section",
-    "custom", ...) used for display only.
-    """
+    """Substitution map from a source table into a target localized ring."""
 
     source: VariableTable
     target: FactorSet
     images: Mapping[str, FactoredFraction]
-    kind: str = "custom"
 
     def __post_init__(self):
         imgs = dict(self.images)
@@ -98,12 +93,12 @@ class RingMorphism:
         if outer.source != self.target.table:
             raise MorphismError("composition tables do not match")
         images = {name: outer(self.images[name]) for name in self.source.names}
-        return RingMorphism(self.source, outer.target, images, kind=f"{outer.kind}*{self.kind}")
+        return RingMorphism(self.source, outer.target, images)
 
     def fixes_variables(self, names) -> bool:
         return all(self.images[n] == self.target.var(n) for n in names)
 
 
-def identity_morphism(factors: FactorSet, kind: str = "identity") -> RingMorphism:
+def identity_morphism(factors: FactorSet) -> RingMorphism:
     table = factors.table
-    return RingMorphism(table, factors, {n: factors.var(n) for n in table.names}, kind=kind)
+    return RingMorphism(table, factors, {n: factors.var(n) for n in table.names})

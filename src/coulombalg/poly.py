@@ -294,19 +294,8 @@ class ExactPolynomial:
         """
         self._check(value)
         result = self.table.zero()
-        cache: dict[int, ExactPolynomial] = {0: self.table.one()}
-
-        def power(e: int) -> ExactPolynomial:
-            if e not in cache:
-                cache[e] = value ** e
-            return cache[e]
-
-        for mono, coeff in self.terms.items():
-            rest = list(mono)
-            exp = rest[position]
-            rest[position] = 0
-            term = ExactPolynomial(self.table, {tuple(rest): coeff})
-            result = result + term * power(exp)
+        for (exp,), rest in self.sector_split((position,)).items():
+            result = result + rest * value ** exp
         return result
 
     def transfer(self, table: VariableTable) -> "ExactPolynomial":
@@ -380,3 +369,21 @@ def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolyno
                 remainder.pop(target, None)
     shift_back = tuple(a - b for a, b in zip(p_shift, d_shift))
     return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
+
+
+def divide_out(
+    p: ExactPolynomial, d: ExactPolynomial, limit: Optional[int] = None
+) -> tuple[ExactPolynomial, int]:
+    """Divide ``p`` by ``d`` while ``d`` divides, at most ``limit`` times.
+
+    Returns the last quotient and the number of divisions made.  Stops at
+    the first division that fails, so at most one trial fails.  Without a
+    limit ``p`` must be nonzero: ``d`` divides zero forever.
+    """
+    count = 0
+    while limit is None or count < limit:
+        q = exact_divide(p, d)
+        if q is None:
+            break
+        p, count = q, count + 1
+    return p, count

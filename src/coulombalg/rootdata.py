@@ -248,5 +248,5 @@ def weyl_generator_morphisms(ring: AmbientRing) -> list[RingMorphism]:
         images[zname] = ring.fraction(z_inv)
         images[ring.tau_names[pos]] = ring.fraction(-ring.tau(pos))
         images[ring.u_names[k]] = ring.fraction(ring.u(k) * z_inv)
-        out.append(RingMorphism(ring.table, ring.factors, images, kind="weyl"))
+        out.append(RingMorphism(ring.table, ring.factors, images))
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .coulomb import Element, euler_section, expand
+from .coulomb import Element, euler_section
 from .errors import MorphismError
 from .fracs import FactoredFraction, FactorSet
 from .morphisms import RingMorphism
@@ -132,13 +132,17 @@ def section_homomorphism_map(ring: AmbientRing) -> RingMorphism:
                 "the weight list is not stable under the block reflection"
             )
         images[ring.u_names[k]] = image
-    return RingMorphism(ring.table, target.factors, images, kind="euler-section")
+    return RingMorphism(ring.table, target.factors, images)
 
 
 def section_homomorphism(ring: AmbientRing, f: Element) -> FactoredFraction:
-    """Image of a branch element in the localized ball model."""
-    value = expand(ring, f if isinstance(f, FactoredFraction) else ring.fraction(f))
-    return section_homomorphism_map(ring)(value)
+    """Image of a branch element in the localized ball model.
+
+    The map needs no ``expand`` first: it sends u to (entry - 1)/eta, the
+    image of u's expansion (z - 1)/tau, so both are the same homomorphism
+    on the localized branch, and reduced fractions are unique.
+    """
+    return section_homomorphism_map(ring)(f)
 
 
 def acceleration_membership(g: FactoredFraction) -> bool:
@@ -153,7 +157,7 @@ def weyl_eta_morphisms(problem: CoulombProblem) -> list[RingMorphism]:
     for k in range(problem.datum.su2_blocks):
         pos = problem.datum.block_coordinate(k)
         images = {ring.eta_names[pos]: ring.fraction(-ring.eta(pos))}
-        out.append(RingMorphism(ring.table, ring.factors, images, kind="weyl"))
+        out.append(RingMorphism(ring.table, ring.factors, images))
     return out
 
 

@@ -96,6 +96,15 @@ def test_generator_override_failure_exits_1(capsys, tmp_path):
     assert "diagram: fail" in out
 
 
+def test_generators_use_overrides_on_abelian_problems(capsys, tmp_path):
+    path = tmp_path / "u1_override.prob"
+    path.write_text(U1 + "generator x = z*(mu - tau)\n")
+    code, out, _ = run(capsys, "generators", "--problem", str(path))
+    assert code == 0 and out.splitlines() == ["x = mu*z - tau*z"]
+    code, out, _ = run(capsys, "presentation", "--problem", str(path))
+    assert code == 0 and out.splitlines()[0] == "generators: x"
+
+
 def test_blowup_description(capsys, su2_file):
     code, out, _ = run(capsys, "blowup", "--problem", su2_file)
     assert code == 0

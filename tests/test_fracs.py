@@ -154,6 +154,18 @@ def test_pow_negative():
     assert f ** -2 == FS.one() / (f * f)
 
 
+def test_pow_equals_repeated_product():
+    rng = random.Random(23)
+    for _ in range(20):
+        num = rand_polynomial(rng, TABLE, max_terms=3, max_degree=2, height=5)
+        den = [(i, rng.randint(0, 2)) for i in range(len(FS))]
+        f = frac(num, den)
+        product = FS.one()
+        for n in range(5):
+            assert f ** n == product
+            product = product * f
+
+
 def test_factor_set_validation():
     with pytest.raises(ValueError):
         FactorSet(TABLE, (tau, tau.scaled(2)))  # proportional pair

@@ -224,3 +224,26 @@ def test_witness_reevaluates_random():
         result = subalgebra_membership(f, gens)
         assert result.expressible
         assert evaluate_tags(result.witness, gens) == f
+
+
+MONOMIALS = [
+    (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 2), (1, 1, 0), (0, 2, 0),
+    (2, 0, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0), (1, 0, 2), (0, 2, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "order, expected",
+    [
+        (LEX, [(2, 0, 0), (1, 1, 0), (1, 0, 2), (1, 0, 1), (1, 0, 0), (0, 2, 1),
+               (0, 2, 0), (0, 1, 1), (0, 1, 0), (0, 0, 2), (0, 0, 1), (0, 0, 0)]),
+        (GREVLEX, [(0, 2, 1), (1, 0, 2), (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1),
+                   (0, 1, 1), (0, 0, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]),
+        (elimination_order(2),
+         [(2, 0, 0), (1, 1, 0), (0, 2, 1), (0, 2, 0), (1, 0, 2), (1, 0, 1),
+          (1, 0, 0), (0, 1, 1), (0, 1, 0), (0, 0, 2), (0, 0, 1), (0, 0, 0)]),
+    ],
+    ids=["lex", "grevlex", "eliminate-2"],
+)
+def test_monomial_order_keys(order, expected):
+    assert sorted(MONOMIALS, key=order, reverse=True) == expected

@@ -31,7 +31,7 @@ def test_identity():
 
 def test_translation_image_of_z():
     scale = FactoredFraction(FS, mu + tau, ((FS.index_of(mu - tau), 1),))
-    m = RingMorphism(SRC, FS, {"z": FS.var("z") * scale}, kind="translation")
+    m = RingMorphism(SRC, FS, {"z": FS.var("z") * scale})
     image = m(z)
     assert image.numerator == z * (mu + tau)
     assert image.denominator == ((FS.index_of(mu - tau), 1),)
@@ -79,7 +79,7 @@ def test_denominator_factor_must_stay_in_set():
 
 def test_composition():
     flip = RingMorphism(
-        SRC, FS, {"z": FS.var("z") ** -1, "tau": FS.from_polynomial(-tau)}, kind="weyl"
+        SRC, FS, {"z": FS.var("z") ** -1, "tau": FS.from_polynomial(-tau)}
     )
     both = flip.then(flip)
     p = z * (mu - tau) + z ** -1 * tau

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from coulombalg import ExactPolynomial, VariableTable, exact_divide
+from coulombalg import ExactPolynomial, VariableTable, exact_divide, poly
+from coulombalg.poly import divide_out
 from conftest import rand_polynomial
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("u", False), ("z", True)])
@@ -110,6 +111,36 @@ def test_assign_polynomial():
     image = p.assign_polynomial(TABLE.index("z"), TABLE.one() + tau * u)
     expected = (TABLE.one() + tau * u) ** 2 + tau * (TABLE.one() + tau * u)
     assert image == expected
+
+
+@pytest.fixture
+def division_calls(monkeypatch):
+    """Count the trial divisions ``divide_out`` makes."""
+    calls = []
+
+    def counted(p, d):
+        calls.append(d)
+        return exact_divide(p, d)
+
+    monkeypatch.setattr(poly, "exact_divide", counted)
+    return calls
+
+
+def test_divide_out_stops_at_limit(division_calls):
+    assert divide_out(tau ** 3 * (mu + 1), tau, 2) == (tau * (mu + 1), 2)
+    assert len(division_calls) == 2
+
+
+def test_divide_out_stops_at_first_failed_division(division_calls):
+    assert divide_out(tau ** 3 * (mu + 1), tau, 5) == (mu + 1, 3)
+    assert len(division_calls) == 4
+    assert divide_out(mu + 1, tau, 2) == (mu + 1, 0)
+    assert len(division_calls) == 5
+
+
+def test_divide_out_without_limit(division_calls):
+    assert divide_out(z * (mu - tau) ** 4, mu - tau) == (z, 4)
+    assert len(division_calls) == 5
 
 
 def test_transfer_by_name():

@@ -6,6 +6,7 @@ import pytest
 
 from coulombalg import (
     CoulombProblem,
+    FactoredFraction,
     MorphismError,
     acceleration_membership,
     ambient_table,
@@ -104,6 +105,22 @@ def test_section_images_su2(su2_standard):
     u_img = section_homomorphism(ring, ring.u(0))
     assert u_img.numerator == er.table.constant(2)
     assert u_img.denominator == ((er.psi_factor_index((-1,)), 1),)
+
+
+@pytest.mark.parametrize(
+    "torus_rank, weights",
+    [(0, [(1,), (-1,)]), (1, [(1, 1), (1, -1), (0, 1), (0, -1)])],
+    ids=["su2-standard", "torus-x-su2"],
+)
+def test_section_map_agrees_with_map_after_expand(torus_rank, weights):
+    ring = ambient_table(CoulombProblem.make(torus_rank, 1, weights))
+    section_map = section_homomorphism_map(ring)
+    tau_idx = ring.tau_factor_index(ring.problem.datum.block_coordinate(0))
+    rng = random.Random(61)
+    for _ in range(15):
+        p = rand_blowup_element(rng, ring, max_terms=3)
+        f = FactoredFraction(ring.factors, p, ((tau_idx, rng.randint(0, 2)),))
+        assert section_homomorphism(ring, f) == section_map(expand(ring, f))
 
 
 def test_acceleration_membership(u1_pm1):
