@@ -284,7 +284,11 @@ def weyl_group(ring: AmbientRing) -> tuple[RingMorphism, ...]:
 
 def reynolds(ring: AmbientRing, f: Element) -> FactoredFraction:
     """Average over the Weyl group; a projector onto invariants."""
-    value = expand(ring, f)
+    return _weyl_average(ring, expand(ring, f))
+
+
+def _weyl_average(ring: AmbientRing, value: FactoredFraction) -> FactoredFraction:
+    """Weyl average of a value that is already expanded."""
     group = weyl_group(ring)
     total = ring.factors.zero()
     for w in group:
@@ -294,7 +298,7 @@ def reynolds(ring: AmbientRing, f: Element) -> FactoredFraction:
 
 def is_weyl_invariant(ring: AmbientRing, f: Element) -> bool:
     value = expand(ring, f)
-    return reynolds(ring, value) == value
+    return _weyl_average(ring, value) == value
 
 
 def toda_base_membership(ring: AmbientRing, f: Element) -> bool:
@@ -480,7 +484,7 @@ def weyl_symmetrized_generators(
     generated subalgebra.  Results are deduplicated up to scalar.
     """
     expanded = [(n, expand(ring, g)) for n, g in generators]
-    averages = [reynolds(ring, g) for _, g in expanded]
+    averages = [_weyl_average(ring, g) for _, g in expanded]
     invariant = {n: a == g for (n, g), a in zip(expanded, averages)}
     out: list[tuple[str, FactoredFraction]] = []
     seen: list[FactoredFraction] = []
@@ -500,7 +504,7 @@ def weyl_symmetrized_generators(
         for n2, g2 in expanded[i:]:
             if invariant[n1] or invariant[n2]:
                 continue
-            push(f"s_{n1}_{n2}", reynolds(ring, g1 * g2))
+            push(f"s_{n1}_{n2}", _weyl_average(ring, g1 * g2))
     return out
 
 

@@ -5,7 +5,9 @@ pre-encoded by partner variables with pairing relations ``z * z__inv - 1``,
 and declared denominators are cleared with auxiliary inverses in the same
 way.  The basis computation uses the normal selection strategy with the
 product and chain criteria, deterministic tie-breaking by generator index,
-and returns the unique reduced basis for the chosen order.
+and returns the unique reduced basis for the chosen order.  Pairs wait in a
+heap keyed by the order key of their lcm, computed once when the pair is
+formed, and a reduction computes each monomial's order key at most once.
 
 A monomial order is its sort key: a function from an exponent tuple to a
 value that compares like the monomial (``LEX``, ``GREVLEX`` and the block
@@ -14,9 +16,11 @@ orders of ``elimination_order``).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
 from .fracs import FactoredFraction, FactorSet
@@ -94,18 +98,31 @@ def normal_form(
 
     With ``track`` the return value is ``(remainder, cofactors)`` satisfying
     ``p == sum(cofactors[i] * basis[i]) + remainder``.
+
+    Each monomial's order key is computed at most once per call.  The terms
+    still to reduce wait in a list sorted by key, largest last; a reduction
+    step only adds terms below the one it removes.
     """
     _require_plain(p)
     table = p.table
-    leads = [
-        (i, leading_monomial(g, order), g) for i, g in enumerate(basis) if not g.is_zero
-    ]
+    keys: dict[Monomial, tuple] = {}
+
+    def key(mono: Monomial) -> tuple:
+        k = keys.get(mono)
+        if k is None:
+            k = keys[mono] = order(mono)
+        return k
+
+    leads = [(i, max(g.terms, key=key), g) for i, g in enumerate(basis) if not g.is_zero]
     work = dict(p.terms)
+    queue = sorted((key(m), m) for m in work)
     remainder: dict[Monomial, Fraction] = {}
     cofactors = [table.zero() for _ in basis] if track else None
-    while work:
-        mono = max(work, key=order)
-        coeff = work.pop(mono)
+    while queue:
+        mono = queue.pop()[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue  # cancelled after it was queued
         for gi, lm, g in leads:
             if _monomial_divides(lm, mono):
                 shift = _monomial_sub(mono, lm)
@@ -114,11 +131,16 @@ def normal_form(
                     if m2 == lm:
                         continue
                     target = _monomial_add(shift, m2)
-                    s = work.get(target, Fraction(0)) - scale * c2
+                    old = work.get(target)
+                    if old is None:
+                        work[target] = -scale * c2
+                        insort(queue, (key(target), target))
+                        continue
+                    s = old - scale * c2
                     if s:
                         work[target] = s
                     else:
-                        work.pop(target, None)
+                        del work[target]
                 if track:
                     cofactors[gi] = cofactors[gi] + ExactPolynomial(table, {shift: scale})
                 break
@@ -169,7 +191,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
 
     Pair selection follows the normal strategy (smallest lcm of leading
     monomials, ties by generator index); the product and chain criteria
-    prune useless pairs.
+    prune useless pairs.  Each pair enters a heap as ``(order(lcm), (i, j))``,
+    its key computed once.  Every pair that survives the criteria is reduced
+    by the module's ``normal_form``.
     """
     table = ideal.table
     basis: list[ExactPolynomial] = []
@@ -178,15 +202,21 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
         lm = leading_monomial(g, order)
         basis.append(g.scaled(Fraction(1) / g.terms[lm]))
         leads.append(lm)
-    pairs: set[tuple[int, int]] = {
-        (i, j) for j in range(len(basis)) for i in range(j)
-    }
+    # Pairs not yet taken: the set answers the chain criterion, the heap
+    # hands out the smallest (lcm key, (i, j)) first.
+    pairs: set[tuple[int, int]] = set()
+    queue: list[tuple[tuple, tuple[int, int]]] = []
 
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (order(_monomial_lcm(leads[ij[0]], leads[ij[1]])), ij),
-        )
+    def add_pairs(new: int):
+        for t in range(new):
+            pairs.add((t, new))
+            heappush(queue, (order(_monomial_lcm(leads[t], leads[new])), (t, new)))
+
+    for new in range(len(basis)):
+        add_pairs(new)
+
+    while queue:
+        _, (i, j) = heappop(queue)
         pairs.discard((i, j))
         li, lj = leads[i], leads[j]
         lcm = _monomial_lcm(li, lj)
@@ -210,8 +240,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
         hl = leading_monomial(h, order)
         basis.append(h.scaled(Fraction(1) / h.terms[hl]))
         leads.append(hl)
-        new = len(basis) - 1
-        pairs.update((t, new) for t in range(new))
+        add_pairs(len(basis) - 1)
 
     return GroebnerBasis(table, order, tuple(_interreduce(basis, order)))
 
@@ -219,24 +248,21 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
 def _interreduce(basis: list[ExactPolynomial], order: MonomialOrder) -> list[ExactPolynomial]:
     # Minimalize: drop elements whose leading monomial another one divides.
     items = sorted(
-        (g for g in basis if not g.is_zero),
-        key=lambda g: order(leading_monomial(g, order)),
+        ((leading_monomial(g, order), g) for g in basis if not g.is_zero),
+        key=lambda item: order(item[0]),
     )
-    minimal: list[ExactPolynomial] = []
-    for g in items:
-        lg = leading_monomial(g, order)
-        if any(_monomial_divides(leading_monomial(h, order), lg) for h in minimal):
-            continue
-        minimal.append(g)
-    # Tail-reduce each element against the others.
+    minimal: list[tuple[Monomial, ExactPolynomial]] = []
+    for lg, g in items:
+        if not any(_monomial_divides(lh, lg) for lh, _ in minimal):
+            minimal.append((lg, g))
+    # Tail-reduce each element against the others; no other leading
+    # monomial divides its own, so that stays its leading monomial.
+    polys = [g for _, g in minimal]
     reduced: list[ExactPolynomial] = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        h = normal_form(g, others, order)
-        h = h.scaled(Fraction(1) / h.terms[leading_monomial(h, order)])
-        reduced.append(h)
-    reduced.sort(key=lambda g: order(leading_monomial(g, order)), reverse=True)
-    return reduced
+    for idx, (lg, g) in enumerate(minimal):
+        h = normal_form(g, polys[:idx] + polys[idx + 1 :], order)
+        reduced.append(h.scaled(Fraction(1) / h.terms[lg]))
+    return reduced[::-1]  # largest leading monomial first
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from coulombalg import (
     translate_by_section,
     weyl_group,
 )
+from coulombalg import coulomb
 from coulombalg.coulomb import SectionSpec, translation_regular_by_division
 from conftest import rand_blowup_element, rand_member, rand_pure_element
 
@@ -104,6 +105,32 @@ def test_reynolds_trivial_on_torus(u1_pm1):
     f = ring.fraction(ring.z(0) * (ring.mu() - ring.tau(0)))
     assert reynolds(ring, f) == f
     assert len(weyl_group(ring)) == 1
+
+
+def test_expand_fixes_expanded_values(su2_standard):
+    # The Weyl averaging of already expanded values skips expand; this is
+    # what makes that sound.
+    ring = su2_standard
+    rng = random.Random(67)
+    for _ in range(30):
+        value = expand(ring, rand_blowup_element(rng, ring))
+        assert expand(ring, value) == value
+
+
+def test_symmetrized_generators_expand_each_generator_once(su2_standard, monkeypatch):
+    ring = su2_standard
+    gens = standard_block_generators(ring)
+    expected = coulomb.weyl_symmetrized_generators(ring, gens)
+    calls = []
+    real = coulomb.expand
+
+    def counting(ring, f):
+        calls.append(f)
+        return real(ring, f)
+
+    monkeypatch.setattr(coulomb, "expand", counting)
+    assert coulomb.weyl_symmetrized_generators(ring, gens) == expected
+    assert len(calls) == len(gens)
 
 
 # --- sections and translation ---------------------------------------------------

@@ -15,6 +15,7 @@ reduction loop, which shares no code with ``groebner.normal_form``.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
 from fractions import Fraction
@@ -27,8 +28,12 @@ from coulombalg import VariableTable, coulomb, groebner, printing, problems, roo
 ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOTS = Path(__file__).resolve().parent / "golden" / "presentations.json"
 
-sys.path.insert(0, str(ROOT / "perfbench"))
-import workloads  # noqa: E402
+# The benchmark's job texts, loaded by path: perfbench is not a package.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+)
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 SU2_STANDARD = workloads.problem_text(0, 1, [(1,), (-1,)])
 
