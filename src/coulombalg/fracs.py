@@ -153,10 +153,8 @@ class FactoredFraction:
         return self.numerator.is_zero
 
     def denominator_polynomial(self) -> ExactPolynomial:
-        p = self.table.one()
-        for idx, exp in self.denominator:
-            p = p * self.factors.factors[idx] ** exp
-        return p
+        product = _factor_product(self.factors, self.denominator)
+        return self.table.one() if product is None else product
 
     def as_polynomial(self) -> ExactPolynomial:
         if not self.is_polynomial:
@@ -179,13 +177,7 @@ class FactoredFraction:
         mine = dict(self.denominator)
         theirs = dict(other.denominator)
         lcm = {i: max(mine.get(i, 0), theirs.get(i, 0)) for i in set(mine) | set(theirs)}
-        scale_self = self.table.one()
-        scale_other = self.table.one()
-        for i, e in lcm.items():
-            f = self.factors.factors[i]
-            scale_self = scale_self * f ** (e - mine.get(i, 0))
-            scale_other = scale_other * f ** (e - theirs.get(i, 0))
-        num = self.numerator * scale_self + other.numerator * scale_other
+        num = _scaled_numerator(self, lcm, mine) + _scaled_numerator(other, lcm, theirs)
         return FactoredFraction(self.factors, num, lcm.items())
 
     __radd__ = __add__
@@ -275,6 +267,30 @@ class FactoredFraction:
         from .printing import format_fraction
 
         return f"FactoredFraction({format_fraction(self)!r})"
+
+
+def _factor_product(
+    factors: FactorSet, powers: Iterable[tuple[int, int]]
+) -> Optional[ExactPolynomial]:
+    """Product of the declared factors to the given positive powers.
+
+    Returns None for the empty product, so that callers skip multiplying
+    by one.
+    """
+    product = None
+    for idx, exp in powers:
+        if exp:
+            power = factors.factors[idx] ** exp
+            product = power if product is None else product * power
+    return product
+
+
+def _scaled_numerator(
+    x: FactoredFraction, lcm: dict[int, int], own: dict[int, int]
+) -> ExactPolynomial:
+    """Numerator of x over the denominator ``lcm``, a multiple of its own."""
+    scale = _factor_product(x.factors, ((i, e - own.get(i, 0)) for i, e in lcm.items()))
+    return x.numerator if scale is None else x.numerator * scale
 
 
 def _reduce(

@@ -10,9 +10,10 @@ Grammar (standard precedence, ^ binds tightest, then unary minus, then
     exponent := "-"? INT | "(" "-"? INT ")"
     atom     := INT | IDENT | "(" expr ")"
 
-Exponents must be integer literals.  Division is resolved against the
-declared multiplicative set: the divisor must be a unit of the localization
-or divide the numerator exactly.
+Exponents must be integer literals of absolute value at most
+``MAX_EXPONENT``, so that one short expression cannot ask for an unbounded
+power.  Division is resolved against the declared multiplicative set: the
+divisor must be a unit of the localization or divide the numerator exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Union
 
 from .errors import ExpressionError, ReductionError
 from .fracs import FactoredFraction, FactorSet
+
+MAX_EXPONENT = 64
 
 # --- AST -------------------------------------------------------------------
 
@@ -183,6 +186,12 @@ class _Parser:
         if tok.kind != "int":
             raise ExpressionError(
                 f"exponent must be an integer literal (position {tok.pos} in {self.text!r})"
+            )
+        # The length test comes first: int() refuses very long digit strings.
+        if len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+            raise ExpressionError(
+                f"exponent exceeds {MAX_EXPONENT} in absolute value "
+                f"(position {tok.pos} in {self.text!r})"
             )
         return sign * int(tok.text)
 

@@ -8,6 +8,12 @@ printing: the first listed variable is the most significant.
 
 The zero polynomial is the empty term map; equality is term-map equality,
 so every value has exactly one representation.
+
+Exact division proves most failures without dividing: when the divisor is
+linear, ``exact_divide`` evaluates the dividend modulo the prime 2^61 - 1 at
+a fixed point where the divisor vanishes, and a nonzero value is a proof
+that the divisor does not divide.  Zero values, and the cases the proof does
+not cover, go to long division.
 """
 
 from __future__ import annotations
@@ -217,12 +223,14 @@ class ExactPolynomial:
                 inv = tuple(-e for e in mono)
                 return ExactPolynomial(self.table, {inv: Fraction(1) / coeff}) ** (-exponent)
             raise ValueError("negative power of a non-monomial polynomial")
-        result = self.table.one()
+        if exponent == 0:
+            return self.table.one()
+        result = None
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result
@@ -326,17 +334,104 @@ class ExactPolynomial:
         return ExactPolynomial(table, {m: c for m, c in terms.items() if c})
 
 
+# Modulus of the non-divisibility certificate in ``exact_divide``, and the
+# residues of its evaluation point: coordinate i is (_POINT_BASE +
+# _POINT_STEP * i) ** 3.  Cubes keep the point off the lines on which two
+# small linear forms vanish together, as they would on an arithmetic
+# progression.
+_PRIME = 2 ** 61 - 1
+_POINT_BASE = 1_000_003
+_POINT_STEP = 7919
+
+
+def _residue(c: Fraction) -> Optional[int]:
+    """c modulo _PRIME, or None when its denominator is divisible by _PRIME."""
+    den = c.denominator
+    if den == 1:
+        return c.numerator % _PRIME
+    if den % _PRIME == 0:
+        return None
+    return c.numerator * pow(den, -1, _PRIME) % _PRIME
+
+
+def _value_on_zero_set(p: ExactPolynomial, d: ExactPolynomial) -> Optional[int]:
+    """Evaluate p modulo _PRIME at a fixed point where the linear d vanishes.
+
+    Returns None (the certificate declines) when d is not linear, when a
+    coefficient of p or d has a denominator divisible by _PRIME, when the
+    pivot coefficient of d (that of its first variable) is divisible by
+    _PRIME, or when a Laurent coordinate of the point is zero.
+    """
+    table = d.table
+    constant = 0
+    linear: dict[int, int] = {}
+    for mono, coeff in d.terms.items():
+        position = None
+        for pos, exp in enumerate(mono):
+            if exp:
+                if exp != 1 or position is not None:
+                    return None
+                position = pos
+        c = _residue(coeff)
+        if c is None:
+            return None
+        if position is None:
+            constant = c
+        else:
+            linear[position] = c
+    if not linear:
+        return None
+    pivot = min(linear)
+    if not linear[pivot]:
+        return None
+    point = [pow(_POINT_BASE + _POINT_STEP * i, 3, _PRIME) for i in range(len(table))]
+    rest = constant + sum(c * point[pos] for pos, c in linear.items() if pos != pivot)
+    point[pivot] = -rest * pow(linear[pivot], -1, _PRIME) % _PRIME
+    if any(flag and not x for flag, x in zip(table.laurent, point)):
+        return None
+    total = 0
+    powers: dict[tuple[int, int], int] = {}  # (position, exponent) -> power, for this call
+    for mono, coeff in p.terms.items():
+        value = _residue(coeff)
+        if value is None:
+            return None
+        for pos, exp in enumerate(mono):
+            if exp:
+                power = powers.get((pos, exp))
+                if power is None:
+                    power = powers[pos, exp] = pow(point[pos], exp, _PRIME)
+                value = value * power % _PRIME
+        total += value
+    return total % _PRIME
+
+
 def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolynomial]:
     """Return q with q * d == p, or None if no such polynomial exists.
 
     Works in the Laurent sense: monomial units are always divisible, and the
     quotient may use negative exponents at Laurent positions.
+
+    A linear divisor is first tried with a certificate of non-divisibility.
+    Let P = 2^61 - 1 and let R be the Laurent ring over Z_(P), the rationals
+    whose denominators are prime to P.  Take a fixed point with residues at
+    every position except the pivot, the first variable of d, and solve d = 0
+    for the pivot modulo P.  If every coefficient of p and d lies in Z_(P),
+    the pivot coefficient is a unit there and every Laurent coordinate of the
+    point is nonzero, then d is primitive in R and, by Gauss's lemma, d | p
+    over Q implies p = q * d with q in R.  Reducing modulo P and evaluating
+    gives p(point) = q(point) * d(point) = 0.  So a nonzero value of p at the
+    point proves that d does not divide p, and None is returned at once.  No
+    randomness decides an answer: a zero value, a divisor that is not
+    linear, and each case outside those conditions fall through to long
+    division, which decides exactly.
     """
     if d.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return p.table.zero()
     p._check(d)
+    if _value_on_zero_set(p, d):
+        return None
     # Normalise the invertible-variable content of both operands to honest
     # polynomials with minimum exponent 0; divisibility is unaffected and
     # the quotient shifts back.

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,22 @@ from coulombalg import (
     VariableTable,
     ambient_table,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded by path once.
+
+    perfbench is not a package, so tests that reuse its job texts or
+    request streams load the module from its file.
+    """
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @pytest.fixture

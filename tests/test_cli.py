@@ -55,6 +55,17 @@ def test_input_errors_exit_2(capsys, u1_file, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr, accepted", [
+    ("mu^64", True), ("z^-64", True), ("mu^65", False), ("z^-65", False),
+])
+def test_exponent_cap_exits_2(capsys, u1_file, expr, accepted):
+    code, _, err = run(capsys, "membership", "--problem", u1_file, "--expr", expr)
+    if accepted:
+        assert code in (0, 1) and not err
+    else:
+        assert code == 2 and "exceeds 64" in err
+
+
 def test_non_utf8_problem_file_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.prob"
     path.write_bytes(U1.encode() + "# caf\xe9\n".encode("latin-1"))

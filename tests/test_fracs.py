@@ -5,6 +5,7 @@ import random
 import pytest
 
 from coulombalg import (
+    ExactPolynomial,
     FactoredFraction,
     FactorSet,
     ReductionError,
@@ -69,6 +70,22 @@ def test_add_partial_fractions():
     total = a + b
     assert total.numerator == mu.scaled(2)
     assert dict(total.denominator) == {idx(mu - tau): 1, idx(mu + tau): 1}
+
+
+def test_sums_do_not_multiply_by_one(monkeypatch):
+    products = []
+    multiply = ExactPolynomial.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    a = frac(mu, [(idx(tau), 1)])
+    b = frac(z, [(idx(tau), 1), (idx(mu + tau), 2)])
+    monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
+    assert same_value(a + b, frac(mu * (mu + tau) ** 2 + z, [(idx(tau), 1), (idx(mu + tau), 2)]))
+    assert frac(mu).denominator_polynomial() == TABLE.one()
+    assert all(TABLE.one() not in pair for pair in products)
 
 
 def test_field_axioms_random():

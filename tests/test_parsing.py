@@ -52,6 +52,15 @@ def test_parse_errors():
         parse_expression("z $ 2", FS)
 
 
+def test_exponent_cap():
+    assert parse_expression("z^-64", FS) == FS.from_polynomial(z ** -64)
+    assert parse_expression("mu^64", FS) == FS.from_polynomial(mu ** 64)
+    assert parse_expression("mu^0064", FS) == FS.from_polynomial(mu ** 64)
+    for text in ("mu^65", "z^-65", "z^(-65)", "(mu + tau)^100000000", "mu^" + "9" * 5000):
+        with pytest.raises(ExpressionError, match="exceeds 64"):
+            parse_expression(text, FS)
+
+
 def test_precedence():
     assert parse_expression("-z^2", FS) == FS.from_polynomial(-(z ** 2))
     assert parse_expression("2*z/2", FS) == FS.var("z")

@@ -7,7 +7,7 @@ import pytest
 
 from coulombalg import ExactPolynomial, VariableTable, exact_divide, poly
 from coulombalg.poly import divide_out
-from conftest import rand_polynomial
+from conftest import benchmark_workloads, rand_polynomial
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("u", False), ("z", True)])
 mu, tau, u, z = (TABLE.var(n) for n in ("mu", "tau", "u", "z"))
@@ -152,7 +152,155 @@ def test_transfer_by_name():
         (mu + z).transfer(small)
 
 
+def test_power_does_not_multiply_by_one(monkeypatch):
+    products = []
+    multiply = ExactPolynomial.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
+    assert (mu + 1) ** 0 == TABLE.one() and (mu + 1) ** 1 == mu + 1
+    assert (mu + 1) ** 5 == (mu + 1) * (mu + 1) * (mu + 1) * (mu + 1) * (mu + 1)
+    products.clear()
+    (mu + 1) ** 5
+    assert len(products) == 3  # square, fourth power, fourth power times base
+    assert all(TABLE.one() not in pair for pair in products)
+
+
 def test_power_negative_monomial_only():
     assert (z ** 2) ** -3 == z ** -6
     with pytest.raises(ValueError):
         (z + 1) ** -1
+
+
+# --- the non-divisibility certificate -----------------------------------------
+
+PRIME = 2 ** 61 - 1
+
+
+def reference_divide(p, d):
+    """Laurent long division with no certificate: the reference for exact_divide."""
+    p_shift = tuple(e if p.table.laurent[i] else 0 for i, e in enumerate(p.min_exponents()))
+    d_shift = tuple(e if d.table.laurent[i] else 0 for i, e in enumerate(d.min_exponents()))
+    pn = p.monomial_shifted(tuple(-e for e in p_shift))
+    dn = d.monomial_shifted(tuple(-e for e in d_shift))
+    lead_d, coeff_d = dn.leading()
+    remainder = dict(pn.terms)
+    quotient = {}
+    while remainder:
+        mono = max(remainder)
+        q_mono = tuple(a - b for a, b in zip(mono, lead_d))
+        if any(e < 0 for e in q_mono):
+            return None
+        q_coeff = remainder[mono] / coeff_d
+        quotient[q_mono] = q_coeff
+        for m2, c2 in dn.terms.items():
+            target = tuple(a + b for a, b in zip(q_mono, m2))
+            s = remainder.get(target, Fraction(0)) - q_coeff * c2
+            if s:
+                remainder[target] = s
+            else:
+                remainder.pop(target, None)
+    shift_back = tuple(a - b for a, b in zip(p_shift, d_shift))
+    return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
+
+
+def rand_divisor(rng):
+    """A single variable, z - 1, or a linear form with coefficients in [-2, 2]."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return TABLE.var(rng.choice(("mu", "tau", "u")))
+    if kind == 1:
+        return z - 1
+    while True:
+        form = TABLE.linear_form(
+            {name: rng.randint(-2, 2) for name in ("mu", "tau", "u")},
+            rng.randint(-2, 2) if kind == 3 else 0,
+        )
+        if not form.is_constant:
+            return form
+
+
+def test_certificate_agrees_with_long_division():
+    rng = random.Random(20261018)
+    divisible = failed = 0
+    while divisible < 150 or failed < 150:
+        d = rand_divisor(rng)
+        q = rand_polynomial(rng, TABLE)
+        if q.is_zero:
+            continue
+        p = q * d
+        if rng.random() < 0.5:
+            p = p + rand_polynomial(rng, TABLE)
+        if p.is_zero:
+            continue
+        expected = reference_divide(p, d)
+        assert exact_divide(p, d) == expected
+        value = poly._value_on_zero_set(p, d)
+        if expected is None:
+            assert value, f"failure of {d!r} | {p!r} not decided by the certificate"
+            failed += 1
+        else:
+            assert not value, f"certificate fired on a divisible pair {d!r} | {p!r}"
+            divisible += 1
+
+
+def test_certificate_point_is_off_shared_lines():
+    # Both forms vanish at (2c, 3c, 4c) for every c, so a point on that
+    # progression cannot tell them apart; the cubed residues can.
+    table = VariableTable.make([("mu", False), ("eta1", False), ("eta2", False)])
+    mu_, eta1, eta2 = (table.var(n) for n in table.names)
+    p = mu_ - 2 * eta1 + eta2
+    d = mu_ + 2 * eta1 - 2 * eta2
+    for form in (p, d):
+        assert sum(c * (mono.index(1) + 2) for mono, c in form.terms.items()) == 0
+    assert poly._value_on_zero_set(p, d)
+    assert poly._value_on_zero_set(d, p)
+    assert exact_divide(p, d) is None
+
+
+@pytest.mark.parametrize(
+    "p, d, quotient",
+    [
+        # a coefficient of p with denominator P
+        ((mu + tau) * (u + Fraction(1, PRIME)), mu + tau, u + Fraction(1, PRIME)),
+        (u + Fraction(1, PRIME), mu + tau, None),
+        # a coefficient of d with denominator P
+        ((mu + Fraction(1, PRIME) * tau) * z ** -1, mu + Fraction(1, PRIME) * tau, z ** -1),
+        # pivot coefficient a multiple of P
+        ((PRIME * mu + tau) * (u + 1), PRIME * mu + tau, u + 1),
+        ((PRIME * mu + tau) * (u + 1) + 1, PRIME * mu + tau, None),
+        # the Laurent pivot z is zero on the zero set of 2z
+        (mu * z ** -1, 2 * z, (mu * z ** -2).scaled(Fraction(1, 2))),
+        # not linear
+        ((mu * tau - 1) * (u - 2), mu * tau - 1, u - 2),
+        (mu * u - 2, mu * tau - 1, None),
+    ],
+)
+def test_certificate_declines(p, d, quotient):
+    assert poly._value_on_zero_set(p, d) is None
+    assert exact_divide(p, d) == quotient == reference_divide(p, d)
+
+
+def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch):
+    """Failed divisions that reach long division, over 40 seed-1 requests."""
+    workloads = benchmark_workloads()
+    certify = poly._value_on_zero_set
+    decided = misses = 0
+
+    def counted(p, d):
+        nonlocal decided, misses
+        value = certify(p, d)
+        if value:
+            decided += 1
+        elif reference_divide(p, d) is None:
+            misses += 1
+        return value
+
+    monkeypatch.setattr(poly, "_value_on_zero_set", counted)
+    for req in next(workloads.abelian_rounds(1, 108))[:40]:
+        workloads.serve(req)
+    assert decided > 1000
+    assert misses == 0

@@ -15,25 +15,17 @@ reduction loop, which shares no code with ``groebner.normal_form``.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from coulombalg import VariableTable, coulomb, groebner, printing, problems, rootdata
+from conftest import benchmark_workloads
 
-ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOTS = Path(__file__).resolve().parent / "golden" / "presentations.json"
-
-# The benchmark's job texts, loaded by path: perfbench is not a package.
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+workloads = benchmark_workloads()
 
 SU2_STANDARD = workloads.problem_text(0, 1, [(1,), (-1,)])
 
