@@ -34,6 +34,13 @@ def _is_linear_in_plain_vars(p: ExactPolynomial) -> bool:
     return True
 
 
+def _is_one(p: ExactPolynomial) -> bool:
+    if len(p.terms) != 1:
+        return False
+    (mono, coeff), = p.terms.items()
+    return coeff == 1 and not any(mono)
+
+
 def _is_unit_monomial(p: ExactPolynomial) -> bool:
     if len(p.terms) != 1:
         return False
@@ -196,7 +203,9 @@ class FactoredFraction:
         powers: dict[int, int] = dict(self.denominator)
         for i, e in other.denominator:
             powers[i] = powers.get(i, 0) + e
-        return FactoredFraction(self.factors, self.numerator * other.numerator, powers.items())
+        a, b = self.numerator, other.numerator
+        num = b if _is_one(a) else a if _is_one(b) else a * b
+        return FactoredFraction(self.factors, num, powers.items())
 
     __rmul__ = __mul__
 

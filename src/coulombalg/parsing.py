@@ -12,7 +12,8 @@ Grammar (standard precedence, ^ binds tightest, then unary minus, then
 
 Exponents must be integer literals of absolute value at most
 ``MAX_EXPONENT``, so that one short expression cannot ask for an unbounded
-power.  Division is resolved against the declared multiplicative set: the
+power, and no integer literal may have more than ``MAX_LITERAL_DIGITS``
+digits.  Division is resolved against the declared multiplicative set: the
 divisor must be a unit of the localization or divide the numerator exactly.
 """
 
@@ -26,6 +27,7 @@ from .errors import ExpressionError, ReductionError
 from .fracs import FactoredFraction, FactorSet
 
 MAX_EXPONENT = 64
+MAX_LITERAL_DIGITS = 1000
 
 # --- AST -------------------------------------------------------------------
 
@@ -198,6 +200,12 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "int":
+            # Checked before int(), which refuses very long digit strings.
+            if len(tok.text) > MAX_LITERAL_DIGITS:
+                raise ExpressionError(
+                    f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
+                    f"(position {tok.pos})"
+                )
             return Lit(int(tok.text))
         if tok.kind == "ident":
             return Var(tok.text)

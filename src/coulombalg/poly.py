@@ -14,12 +14,19 @@ linear, ``exact_divide`` evaluates the dividend modulo the prime 2^61 - 1 at
 a fixed point where the divisor vanishes, and a nonzero value is a proof
 that the divisor does not divide.  Zero values, and the cases the proof does
 not cover, go to long division.
+
+Products and long division run on integers: each operand is written as
+integer numerators over the lcm of its denominators for the length of one
+call, and one ``Fraction`` is built per result term.  Long division may stay
+in the integers because of Gauss's lemma (see ``exact_divide``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import TableMismatchError
@@ -122,6 +129,14 @@ class ExactPolynomial:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _unchecked(cls, table: VariableTable, terms: dict) -> "ExactPolynomial":
+        """Wrap terms known to be valid: right arity, Laurent-admissible, nonzero Fractions."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "table", table)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
 
@@ -195,16 +210,18 @@ class ExactPolynomial:
 
     def __mul__(self, other) -> "ExactPolynomial":
         other = self._coerce(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        return ExactPolynomial(self.table, terms)
+        left, left_den = _integer_terms(self)
+        right, right_den = _integer_terms(other)
+        sums: dict[Monomial, int] = {}
+        get = sums.get
+        for m1, n1 in left:
+            for m2, n2 in right:
+                mono = tuple(map(add, m1, m2))
+                sums[mono] = get(mono, 0) + n1 * n2
+        den = left_den * right_den
+        return ExactPolynomial._unchecked(
+            self.table, {m: Fraction(n, den) for m, n in sums.items() if n}
+        )
 
     __rmul__ = __mul__
 
@@ -253,6 +270,8 @@ class ExactPolynomial:
     # Structure helpers ----------------------------------------------------------
 
     def monomial_shifted(self, shift: Monomial) -> "ExactPolynomial":
+        if not any(shift):
+            return self
         return ExactPolynomial(
             self.table,
             {tuple(a + b for a, b in zip(m, shift)): c for m, c in self.terms.items()},
@@ -332,6 +351,16 @@ class ExactPolynomial:
                 exps[target] = exp
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
         return ExactPolynomial(table, {m: c for m, c in terms.items() if c})
+
+
+def _integer_terms(p: ExactPolynomial, shift: Monomial = ()) -> tuple[list, int]:
+    """p as ([(monomial, integer)], D) with p = terms / D, D the lcm of p's
+    denominators.  A ``shift`` is subtracted from every monomial."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = p.terms.items()
+    if any(shift):
+        terms = [(tuple(map(sub, m, shift)), c) for m, c in terms]
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms], den
 
 
 # Modulus of the non-divisibility certificate in ``exact_divide``, and the
@@ -424,6 +453,15 @@ def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolyno
     randomness decides an answer: a zero value, a divisor that is not
     linear, and each case outside those conditions fall through to long
     division, which decides exactly.
+
+    Long division runs over the integers.  Shifting the Laurent positions to
+    minimum exponent 0 and clearing denominators turns p into P in Z[x] and
+    d into a primitive d' in Z[x] (d over its integer content); Z[x] is a
+    UFD.  If d divides p over Q, then d' divides P over Q, and by Gauss's
+    lemma the quotient is integral.  Each step of the lex division produces
+    a coefficient of that quotient, so a step whose coefficient is not an
+    integer proves that d does not divide p.  The integer quotient, scaled
+    back by the cleared denominators and the content, is the answer.
     """
     if d.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -432,38 +470,38 @@ def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolyno
     p._check(d)
     if _value_on_zero_set(p, d):
         return None
-    # Normalise the invertible-variable content of both operands to honest
-    # polynomials with minimum exponent 0; divisibility is unaffected and
-    # the quotient shifts back.
-    p_shift = tuple(
-        e if p.table.laurent[i] else 0 for i, e in enumerate(p.min_exponents())
-    )
-    d_shift = tuple(
-        e if d.table.laurent[i] else 0 for i, e in enumerate(d.min_exponents())
-    )
-    pn = p.monomial_shifted(tuple(-e for e in p_shift))
-    dn = d.monomial_shifted(tuple(-e for e in d_shift))
-
-    lead_d, coeff_d = dn.leading()
-    remainder = dict(pn.terms)
-    quotient: dict[Monomial, Fraction] = {}
+    laurent = p.table.laurent
+    p_shift = tuple(e if flag else 0 for flag, e in zip(laurent, p.min_exponents()))
+    d_shift = tuple(e if flag else 0 for flag, e in zip(laurent, d.min_exponents()))
+    dividend, p_den = _integer_terms(p, p_shift)
+    divisor, d_den = _integer_terms(d, d_shift)
+    content = gcd(*(n for _, n in divisor))
+    divisor = [(m, n // content) for m, n in divisor]
+    lead_d, coeff_d = max(divisor)
+    remainder = dict(dividend)
+    quotient: dict[Monomial, int] = {}
     while remainder:
         mono = max(remainder)
-        coeff = remainder[mono]
-        q_mono = tuple(a - b for a, b in zip(mono, lead_d))
-        if any(e < 0 for e in q_mono):
+        q_mono = tuple(map(sub, mono, lead_d))
+        if min(q_mono) < 0:
             return None
-        q_coeff = coeff / coeff_d
+        q_coeff, rest = divmod(remainder[mono], coeff_d)
+        if rest:
+            return None
         quotient[q_mono] = q_coeff
-        for m2, c2 in dn.terms.items():
-            target = tuple(a + b for a, b in zip(q_mono, m2))
-            s = remainder.get(target, Fraction(0)) - q_coeff * c2
+        for m2, n2 in divisor:
+            target = tuple(map(add, q_mono, m2))
+            s = remainder.get(target, 0) - q_coeff * n2
             if s:
                 remainder[target] = s
             else:
-                remainder.pop(target, None)
-    shift_back = tuple(a - b for a, b in zip(p_shift, d_shift))
-    return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
+                del remainder[target]
+    shift_back = tuple(map(sub, p_shift, d_shift))
+    den = p_den * content
+    return ExactPolynomial._unchecked(
+        p.table,
+        {tuple(map(add, m, shift_back)): Fraction(n * d_den, den) for m, n in quotient.items()},
+    )
 
 
 def divide_out(

@@ -66,6 +66,12 @@ def test_exponent_cap_exits_2(capsys, u1_file, expr, accepted):
         assert code == 2 and "exceeds 64" in err
 
 
+def test_literal_cap_exits_2(capsys, u1_file):
+    code, out, err = run(capsys, "membership", "--problem", u1_file, "--expr", "1" + "0" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "more than 1000 digits" in err
+
+
 def test_non_utf8_problem_file_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.prob"
     path.write_bytes(U1.encode() + "# caf\xe9\n".encode("latin-1"))

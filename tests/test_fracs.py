@@ -88,6 +88,24 @@ def test_sums_do_not_multiply_by_one(monkeypatch):
     assert all(TABLE.one() not in pair for pair in products)
 
 
+def test_products_do_not_multiply_by_one(monkeypatch):
+    products = []
+    multiply = ExactPolynomial.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    a = frac(mu, [(idx(tau), 1)])
+    inv = frac(TABLE.one(), [(idx(mu + tau), 1)])
+    expected = frac(mu, [(idx(tau), 1), (idx(mu + tau), 1)]), frac(3 * mu, [(idx(tau), 1)])
+    monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
+    assert a * inv == inv * a == expected[0]
+    assert FS.one() * FS.one() == FS.one()
+    assert a * 3 == expected[1]
+    assert len(products) == 1  # mu * 3
+
+
 def test_field_axioms_random():
     rng = random.Random(11)
     def rand_frac():

@@ -14,6 +14,7 @@ from coulombalg import (
     format_polynomial,
     parse_expression,
 )
+from coulombalg.parsing import MAX_LITERAL_DIGITS
 from conftest import rand_polynomial
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
@@ -59,6 +60,13 @@ def test_exponent_cap():
     for text in ("mu^65", "z^-65", "z^(-65)", "(mu + tau)^100000000", "mu^" + "9" * 5000):
         with pytest.raises(ExpressionError, match="exceeds 64"):
             parse_expression(text, FS)
+
+
+def test_literal_cap():
+    at_cap = "9" * MAX_LITERAL_DIGITS
+    assert parse_expression(at_cap + "*z", FS) == FS.from_polynomial(z.scaled(int(at_cap)))
+    with pytest.raises(ExpressionError, match=f"more than {MAX_LITERAL_DIGITS} digits"):
+        parse_expression("z + 1" + "0" * MAX_LITERAL_DIGITS, FS)
 
 
 def test_precedence():

@@ -304,3 +304,131 @@ def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch):
         workloads.serve(req)
     assert decided > 1000
     assert misses == 0
+
+
+# --- the integer kernels of * and exact_divide --------------------------------
+
+
+def reference_mul(a, b):
+    """Term-by-term product over Fractions: the reference for ``*``."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            s = terms.get(mono, Fraction(0)) + c1 * c2
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+    return ExactPolynomial(a.table, terms)
+
+
+def assert_same(result, expected):
+    """``result`` is ``expected`` as the public constructor builds it."""
+    if expected is None:
+        assert result is None
+        return
+    assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert all(type(m) is tuple and len(m) == len(TABLE) for m in result.terms)
+    assert result == expected and hash(result) == hash(expected)
+
+
+# Denominators share factors, so their lcm is not their product.
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 12, 18)
+
+
+def rand_dense(rng):
+    """Few monomials in mu, tau and Laurent z, so that products collide and cancel."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = (rng.randint(0, 1), rng.randint(0, 1), 0, rng.randint(-1, 1))
+        if rng.random() < 0.05:
+            coeff = Fraction(rng.choice((-1, 1)), PRIME)
+        else:
+            coeff = Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS))
+        terms[mono] = coeff
+    return ExactPolynomial(TABLE, terms)
+
+
+def test_product_agrees_with_reference():
+    rng = random.Random(20261019)
+    fixed = [
+        TABLE.zero(),
+        TABLE.one(),
+        TABLE.constant(Fraction(-3, 4)),
+        mu + Fraction(1, PRIME),
+        # mu*tau*u gets 1, then -1 (its sum is zero), then 1 again
+        (mu + tau + u, tau * u - mu * u + mu * tau),
+    ]
+    pairs = [f if isinstance(f, tuple) else (f, rand_dense(rng)) for f in fixed]
+    pairs += [(rand_dense(rng), rand_dense(rng)) for _ in range(200)]
+    for _ in range(100):  # (a + b) * (a - b): the cross terms cancel
+        a, b = rand_dense(rng), rand_dense(rng)
+        pairs.append((a + b, a - b))
+    cancelled = 0
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            expected = reference_mul(x, y)
+            assert_same(x * y, expected)
+        cancelled += len(expected.terms) < len({
+            tuple(p + q for p, q in zip(m1, m2)) for m1 in a.terms for m2 in b.terms
+        })
+    assert cancelled > 20
+
+
+def rand_quotient(rng):
+    q = rand_polynomial(rng, TABLE, max_terms=3, max_degree=2, height=6)
+    return q if not q.is_zero else TABLE.constant(rng.choice((1, -2)))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        # integer content
+        2 * mu + 4,
+        mu.scaled(Fraction(1, 3)) + Fraction(1, 6),
+        6 * tau - 4 * u * z,
+        # not linear: the certificate declines and long division decides
+        2 * mu ** 2 + 1,
+        3 * mu * tau - 2 * u,
+        (4 * mu ** 2 + 6 * tau) * z ** -1,
+        # a Laurent shift
+        (z - 2) * z ** -2,
+    ],
+)
+def test_division_agrees_with_reference(d):
+    rng = random.Random(20261020)
+    remainders = [TABLE.zero(), mu ** 2 + 1, tau.scaled(Fraction(1, 2)), z ** -1]
+    divisible = failed = 0
+    for _ in range(40):
+        p = rand_quotient(rng) * d + rng.choice(remainders)
+        if p.is_zero:
+            continue
+        expected = reference_divide(p, d)
+        assert_same(exact_divide(p, d), expected)
+        divisible += expected is not None
+        failed += expected is None
+    assert divisible and failed
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        mu ** 2 + 1,
+        # the first step divides, the second leaves mu^2 + 1
+        2 * mu ** 4 + 2 * mu ** 2 + 1,
+        (2 * mu ** 2 + 1) * (mu ** 3 - tau * z ** -2) + mu ** 2 + 1,
+        ((2 * mu ** 2 + 1) * (mu + tau) + mu ** 2 + 1) * z ** 5,
+    ],
+)
+def test_division_fails_on_a_remainder_partway(p):
+    d = 2 * mu ** 2 + 1
+    assert poly._value_on_zero_set(p, d) is None
+    assert exact_divide(p, d) is None
+    assert reference_divide(p, d) is None
+
+
+def test_laurent_quotients():
+    for q in (z ** -3, (mu - tau.scaled(Fraction(2, 3))) * z ** -2, z ** 4 + z ** -4):
+        for d in (2 * z ** 3, 3 * (mu + tau) * z ** -1, (z - 1) * z ** -5):
+            assert_same(exact_divide(q * d, d), q)
