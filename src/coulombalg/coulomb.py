@@ -37,7 +37,6 @@ from .poly import ExactPolynomial, VariableTable, divide_out
 from .rootdata import (
     AmbientRing,
     CoulombProblem,
-    Weight,
     WeightFormRing,
     ambient_table,
     coordinate_names,
@@ -219,15 +218,9 @@ def euler_section(problem: CoulombProblem, target: WeightFormRing) -> SectionSpe
     entries = []
     for i in range(problem.rank):
         unit = [int(j == i) for j in range(problem.rank)]
-        num = target.factors.one()
-        den: dict[int, int] = {}
-        for w, e in sorted(_sector_powers(problem, unit).items()):
-            if e > 0:
-                num = num * target.psi(w) ** e
-            elif e < 0:
-                idx = target.psi_factor_index(w)
-                den[idx] = den.get(idx, 0) - e
-        entry = FactoredFraction(target.factors, num.as_polynomial(), den.items())
+        num, den = _sector_factors(problem, target, unit)
+        numerator = target.factors.product(num.items()) or target.table.one()
+        entry = FactoredFraction(target.factors, numerator, den.items())
         entries.append((z_names[i], entry))
     return SectionSpec(problem, side, target.factors, tuple(entries))
 
@@ -328,12 +321,21 @@ class MembershipResult:
         return self.member
 
 
-def _sector_powers(problem: CoulombProblem, m: Sequence[int]) -> dict[Weight, int]:
-    """Power of each distinct weight form by which translation multiplies z^m."""
-    powers = {}
+def _sector_factors(
+    problem: CoulombProblem, ring: WeightFormRing, m: Sequence[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Powers of the weight forms by which translation multiplies z^m.
+
+    Returns (numerator, denominator) powers keyed by the forms' factor
+    indices in ``ring``, both positive.
+    """
+    numerator: dict[int, int] = {}
+    denominator: dict[int, int] = {}
     for w in problem.distinct_weights():
-        powers[w] = sum(a * b for a, b in zip(w, m)) * problem.weights.count(w)
-    return powers
+        e = sum(a * b for a, b in zip(w, m)) * problem.weights.count(w)
+        if e:
+            (numerator if e > 0 else denominator)[ring.psi_factor_index(w)] = abs(e)
+    return numerator, denominator
 
 
 def matter_membership(ring: AmbientRing, f: Element) -> MembershipResult:
@@ -361,13 +363,8 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
     translated = ring.table.zero()
     for m in sorted(sectors, reverse=True):
         coeff = sectors[m]
-        required: dict[int, int] = {}
-        positive = ring.table.one()
-        for w, e in _sector_powers(ring.problem, m).items():
-            if e < 0:
-                required[ring.psi_factor_index(w)] = -e
-            elif e > 0:
-                positive = positive * ring.psi(w) ** e
+        positive, required = _sector_factors(ring.problem, ring, m)
+        scale = ring.factors.product(positive.items())
         for idx in sorted(required):
             factor = ring.factors.factors[idx]
             coeff, divided = divide_out(coeff, factor, required[idx])
@@ -376,7 +373,9 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
         shift = [0] * len(ring.table)
         for pos, e in zip(z_positions, m):
             shift[pos] = e
-        translated = translated + (coeff * positive).monomial_shifted(tuple(shift))
+        if scale is not None:
+            coeff = coeff * scale
+        translated = translated + coeff.monomial_shifted(tuple(shift))
     return MembershipResult(True, translated=ring.fraction(translated))
 
 
@@ -454,10 +453,8 @@ def abelian_matter_generators(
     for m in grid:
         if all(e == 0 for e in m):
             continue
-        clearing = ring.table.one()
-        for w, e in _sector_powers(problem, m).items():
-            if e < 0:
-                clearing = clearing * ring.psi(w) ** -e
+        _, required = _sector_factors(problem, ring, m)
+        clearing = ring.factors.product(required.items()) or ring.table.one()
         shift = [0] * len(ring.table)
         for pos, e in zip(z_positions, m):
             shift[pos] = e

@@ -102,6 +102,19 @@ class FactorSet:
     def from_polynomial(self, p: ExactPolynomial) -> "FactoredFraction":
         return FactoredFraction(self, p, ())
 
+    def product(self, powers: Iterable[tuple[int, int]]) -> Optional[ExactPolynomial]:
+        """Product of the factors at the given indices to the given powers.
+
+        Returns None for the empty product, so that callers skip multiplying
+        by one.
+        """
+        product = None
+        for idx, exp in powers:
+            if exp:
+                power = self.factors[idx] ** exp
+                product = power if product is None else product * power
+        return product
+
 
 def _proportional(f: ExactPolynomial, g: ExactPolynomial) -> bool:
     if set(f.terms) != set(g.terms):
@@ -160,7 +173,7 @@ class FactoredFraction:
         return self.numerator.is_zero
 
     def denominator_polynomial(self) -> ExactPolynomial:
-        product = _factor_product(self.factors, self.denominator)
+        product = self.factors.product(self.denominator)
         return self.table.one() if product is None else product
 
     def as_polynomial(self) -> ExactPolynomial:
@@ -278,27 +291,11 @@ class FactoredFraction:
         return f"FactoredFraction({format_fraction(self)!r})"
 
 
-def _factor_product(
-    factors: FactorSet, powers: Iterable[tuple[int, int]]
-) -> Optional[ExactPolynomial]:
-    """Product of the declared factors to the given positive powers.
-
-    Returns None for the empty product, so that callers skip multiplying
-    by one.
-    """
-    product = None
-    for idx, exp in powers:
-        if exp:
-            power = factors.factors[idx] ** exp
-            product = power if product is None else product * power
-    return product
-
-
 def _scaled_numerator(
     x: FactoredFraction, lcm: dict[int, int], own: dict[int, int]
 ) -> ExactPolynomial:
     """Numerator of x over the denominator ``lcm``, a multiple of its own."""
-    scale = _factor_product(x.factors, ((i, e - own.get(i, 0)) for i, e in lcm.items()))
+    scale = x.factors.product((i, e - own.get(i, 0)) for i, e in lcm.items())
     return x.numerator if scale is None else x.numerator * scale
 
 

@@ -9,16 +9,14 @@ printing: the first listed variable is the most significant.
 The zero polynomial is the empty term map; equality is term-map equality,
 so every value has exactly one representation.
 
-Exact division proves most failures without dividing: when the divisor is
-linear, ``exact_divide`` evaluates the dividend modulo the prime 2^61 - 1 at
-a fixed point where the divisor vanishes, and a nonzero value is a proof
-that the divisor does not divide.  Zero values, and the cases the proof does
-not cover, go to long division.
-
-Products and long division run on integers: each operand is written as
+Products and exact division run on integers: each operand is written as
 integer numerators over the lcm of its denominators for the length of one
-call, and one ``Fraction`` is built per result term.  Long division may stay
-in the integers because of Gauss's lemma (see ``exact_divide``).
+call, and one ``Fraction`` is built per result term.  Exact division rests
+on one fact, Gauss's lemma: when the divisor divides, the cleared dividend
+is an integral multiple of the primitive divisor.  So a nonzero value of the
+dividend modulo the prime 2^61 - 1 at a point where a linear divisor
+vanishes proves failure, and so does a non-integral step of long division
+(see ``exact_divide``).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, lt, sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import TableMismatchError
@@ -353,14 +351,11 @@ class ExactPolynomial:
         return ExactPolynomial(table, {m: c for m, c in terms.items() if c})
 
 
-def _integer_terms(p: ExactPolynomial, shift: Monomial = ()) -> tuple[list, int]:
+def _integer_terms(p: ExactPolynomial) -> tuple[list, int]:
     """p as ([(monomial, integer)], D) with p = terms / D, D the lcm of p's
-    denominators.  A ``shift`` is subtracted from every monomial."""
+    denominators."""
     den = lcm(*(c.denominator for c in p.terms.values()))
-    terms = p.terms.items()
-    if any(shift):
-        terms = [(tuple(map(sub, m, shift)), c) for m, c in terms]
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms], den
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
 
 
 # Modulus of the non-divisibility certificate in ``exact_divide``, and the
@@ -373,57 +368,44 @@ _POINT_BASE = 1_000_003
 _POINT_STEP = 7919
 
 
-def _residue(c: Fraction) -> Optional[int]:
-    """c modulo _PRIME, or None when its denominator is divisible by _PRIME."""
-    den = c.denominator
-    if den == 1:
-        return c.numerator % _PRIME
-    if den % _PRIME == 0:
-        return None
-    return c.numerator * pow(den, -1, _PRIME) % _PRIME
+def _value_on_zero_set(
+    dividend: list, divisor: list, laurent: tuple[bool, ...]
+) -> Optional[int]:
+    """Evaluate the dividend modulo _PRIME at a fixed point where the divisor vanishes.
 
-
-def _value_on_zero_set(p: ExactPolynomial, d: ExactPolynomial) -> Optional[int]:
-    """Evaluate p modulo _PRIME at a fixed point where the linear d vanishes.
-
-    Returns None (the certificate declines) when d is not linear, when a
-    coefficient of p or d has a denominator divisible by _PRIME, when the
-    pivot coefficient of d (that of its first variable) is divisible by
-    _PRIME, or when a Laurent coordinate of the point is zero.
+    Both are unshifted integer term lists from ``_integer_terms``, the
+    divisor divided by its content.  Returns None (the certificate declines)
+    when the divisor is not linear, when its pivot coefficient (that of its
+    first variable) is divisible by _PRIME, or when the pivot is a Laurent
+    variable whose coordinate is zero.  The other coordinates are nonzero
+    cubes, so an accepted point makes every Laurent monomial a unit.
     """
-    table = d.table
     constant = 0
     linear: dict[int, int] = {}
-    for mono, coeff in d.terms.items():
+    for mono, n in divisor:
         position = None
         for pos, exp in enumerate(mono):
             if exp:
                 if exp != 1 or position is not None:
                     return None
                 position = pos
-        c = _residue(coeff)
-        if c is None:
-            return None
         if position is None:
-            constant = c
+            constant = n
         else:
-            linear[position] = c
+            linear[position] = n
     if not linear:
         return None
     pivot = min(linear)
-    if not linear[pivot]:
+    if not linear[pivot] % _PRIME:
         return None
-    point = [pow(_POINT_BASE + _POINT_STEP * i, 3, _PRIME) for i in range(len(table))]
-    rest = constant + sum(c * point[pos] for pos, c in linear.items() if pos != pivot)
+    point = [pow(_POINT_BASE + _POINT_STEP * i, 3, _PRIME) for i in range(len(laurent))]
+    rest = constant + sum(n * point[pos] for pos, n in linear.items() if pos != pivot)
     point[pivot] = -rest * pow(linear[pivot], -1, _PRIME) % _PRIME
-    if any(flag and not x for flag, x in zip(table.laurent, point)):
+    if laurent[pivot] and not point[pivot]:
         return None
     total = 0
     powers: dict[tuple[int, int], int] = {}  # (position, exponent) -> power, for this call
-    for mono, coeff in p.terms.items():
-        value = _residue(coeff)
-        if value is None:
-            return None
+    for mono, value in dividend:
         for pos, exp in enumerate(mono):
             if exp:
                 power = powers.get((pos, exp))
@@ -440,50 +422,47 @@ def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolyno
     Works in the Laurent sense: monomial units are always divisible, and the
     quotient may use negative exponents at Laurent positions.
 
-    A linear divisor is first tried with a certificate of non-divisibility.
-    Let P = 2^61 - 1 and let R be the Laurent ring over Z_(P), the rationals
-    whose denominators are prime to P.  Take a fixed point with residues at
-    every position except the pivot, the first variable of d, and solve d = 0
-    for the pivot modulo P.  If every coefficient of p and d lies in Z_(P),
-    the pivot coefficient is a unit there and every Laurent coordinate of the
-    point is nonzero, then d is primitive in R and, by Gauss's lemma, d | p
-    over Q implies p = q * d with q in R.  Reducing modulo P and evaluating
-    gives p(point) = q(point) * d(point) = 0.  So a nonzero value of p at the
-    point proves that d does not divide p, and None is returned at once.  No
-    randomness decides an answer: a zero value, a divisor that is not
-    linear, and each case outside those conditions fall through to long
-    division, which decides exactly.
+    One argument proves both failure tests.  Shift the Laurent positions to
+    minimum exponent 0 and clear denominators: p becomes P and d becomes a
+    primitive D (d over its integer content), both in Z[x].  If d divides p,
+    then P = Q * D with Q in Z[x] by Gauss's lemma.  Hence:
 
-    Long division runs over the integers.  Shifting the Laurent positions to
-    minimum exponent 0 and clearing denominators turns p into P in Z[x] and
-    d into a primitive d' in Z[x] (d over its integer content); Z[x] is a
-    UFD.  If d divides p over Q, then d' divides P over Q, and by Gauss's
-    lemma the quotient is integral.  Each step of the lex division produces
-    a coefficient of that quotient, so a step whose coefficient is not an
-    integer proves that d does not divide p.  The integer quotient, scaled
-    back by the cleared denominators and the content, is the answer.
+    - the certificate, for a linear d: P(a) = Q(a) * D(a) = 0 modulo 2^61 - 1
+      at a point a where D(a) = 0, so a nonzero value proves failure and
+      None is returned at once.  ``_value_on_zero_set`` evaluates before
+      shifting, which changes no zero: at a point whose Laurent coordinates
+      are nonzero, the shifts are units;
+    - long division: each step yields a coefficient of Q, so a non-integral
+      step proves failure.
+
+    No randomness decides an answer: a zero value and a declined certificate
+    go to long division, which decides exactly.  The integer quotient,
+    scaled back by the cleared denominators and the content, is the answer.
     """
     if d.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return p.table.zero()
     p._check(d)
-    if _value_on_zero_set(p, d):
-        return None
     laurent = p.table.laurent
-    p_shift = tuple(e if flag else 0 for flag, e in zip(laurent, p.min_exponents()))
-    d_shift = tuple(e if flag else 0 for flag, e in zip(laurent, d.min_exponents()))
-    dividend, p_den = _integer_terms(p, p_shift)
-    divisor, d_den = _integer_terms(d, d_shift)
+    dividend, p_den = _integer_terms(p)
+    divisor, d_den = _integer_terms(d)
     content = gcd(*(n for _, n in divisor))
     divisor = [(m, n // content) for m, n in divisor]
+    if _value_on_zero_set(dividend, divisor, laurent):
+        return None
+    # Lex order is shift-invariant, so the division runs unshifted; the
+    # shifts only set the lowest exponent a quotient term may have.
+    floor = tuple(
+        a - b if flag else 0 for flag, a, b in zip(laurent, p.min_exponents(), d.min_exponents())
+    )
     lead_d, coeff_d = max(divisor)
     remainder = dict(dividend)
     quotient: dict[Monomial, int] = {}
     while remainder:
         mono = max(remainder)
         q_mono = tuple(map(sub, mono, lead_d))
-        if min(q_mono) < 0:
+        if any(map(lt, q_mono, floor)):
             return None
         q_coeff, rest = divmod(remainder[mono], coeff_d)
         if rest:
@@ -496,11 +475,9 @@ def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolyno
                 remainder[target] = s
             else:
                 del remainder[target]
-    shift_back = tuple(map(sub, p_shift, d_shift))
     den = p_den * content
     return ExactPolynomial._unchecked(
-        p.table,
-        {tuple(map(add, m, shift_back)): Fraction(n * d_den, den) for m, n in quotient.items()},
+        p.table, {m: Fraction(n * d_den, den) for m, n in quotient.items()}
     )
 
 

@@ -11,7 +11,9 @@ Format, one statement per line (``#`` starts a comment):
 
 ``weight`` lines repeat, one integer vector of length rank each;
 ``generator`` lines optionally override the default generator list used by
-presentation-level commands.
+presentation-level commands.  The rank ``torus_rank + su2_blocks`` may not
+exceed ``MAX_RANK``: building the ambient ring takes time at least quadratic
+in it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .errors import ProblemError
 from .fracs import FactoredFraction
 from .parsing import parse_expression
 from .rootdata import AmbientRing, CoulombProblem
+
+MAX_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,10 @@ def parse_problem_text(text: str) -> ProblemFile:
             raise ProblemError(f"line {lineno}: bad integer in {raw!r}") from None
     if torus_rank is None:
         raise ProblemError("missing torus_rank")
+    if torus_rank + su2_blocks > MAX_RANK:
+        raise ProblemError(
+            f"rank torus_rank + su2_blocks = {torus_rank + su2_blocks} exceeds {MAX_RANK}"
+        )
     if degree_window < 1:
         raise ProblemError("degree_window must be at least 1")
     pf = ProblemFile(

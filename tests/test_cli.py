@@ -72,6 +72,18 @@ def test_literal_cap_exits_2(capsys, u1_file):
     assert err.startswith("error: ") and "more than 1000 digits" in err
 
 
+@pytest.mark.parametrize("torus_rank, accepted", [(8, True), (9, False), (100000, False)])
+def test_rank_cap_exits_2(capsys, tmp_path, torus_rank, accepted):
+    path = tmp_path / "rank.prob"
+    path.write_text(f"torus_rank = {torus_rank}\n")
+    code, out, err = run(capsys, "membership", "--problem", str(path), "--expr", "mu")
+    if accepted:
+        assert (code, out.splitlines()[0], err) == (0, "Member", "")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "exceeds 8" in err
+
+
 def test_non_utf8_problem_file_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.prob"
     path.write_bytes(U1.encode() + "# caf\xe9\n".encode("latin-1"))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -180,6 +181,15 @@ def test_power_negative_monomial_only():
 PRIME = 2 ** 61 - 1
 
 
+def certificate(p, d):
+    """``_value_on_zero_set`` on p and d, prepared as ``exact_divide`` prepares them."""
+    dividend, _ = poly._integer_terms(p)
+    divisor, _ = poly._integer_terms(d)
+    content = gcd(*(n for _, n in divisor))
+    primitive = [(m, n // content) for m, n in divisor]
+    return poly._value_on_zero_set(dividend, primitive, p.table.laurent)
+
+
 def reference_divide(p, d):
     """Laurent long division with no certificate: the reference for exact_divide."""
     p_shift = tuple(e if p.table.laurent[i] else 0 for i, e in enumerate(p.min_exponents()))
@@ -238,7 +248,7 @@ def test_certificate_agrees_with_long_division():
             continue
         expected = reference_divide(p, d)
         assert exact_divide(p, d) == expected
-        value = poly._value_on_zero_set(p, d)
+        value = certificate(p, d)
         if expected is None:
             assert value, f"failure of {d!r} | {p!r} not decided by the certificate"
             failed += 1
@@ -256,21 +266,41 @@ def test_certificate_point_is_off_shared_lines():
     d = mu_ + 2 * eta1 - 2 * eta2
     for form in (p, d):
         assert sum(c * (mono.index(1) + 2) for mono, c in form.terms.items()) == 0
-    assert poly._value_on_zero_set(p, d)
-    assert poly._value_on_zero_set(d, p)
+    assert certificate(p, d)
+    assert certificate(d, p)
     assert exact_divide(p, d) is None
 
 
 @pytest.mark.parametrize(
     "p, d, quotient",
     [
-        # a coefficient of p with denominator P
+        # a coefficient of p with denominator P: the cleared numerators are integral
         ((mu + tau) * (u + Fraction(1, PRIME)), mu + tau, u + Fraction(1, PRIME)),
         (u + Fraction(1, PRIME), mu + tau, None),
-        # a coefficient of d with denominator P
+        # the integer content of d is a multiple of P; its primitive part is not
+        ((PRIME * mu + PRIME * tau) * (u - 1), PRIME * mu + PRIME * tau, u - 1),
+        ((mu + tau) * u + 1, PRIME * mu + PRIME * tau, None),
+        # Laurent dividends with negative exponents, evaluated unshifted
+        ((mu - 2 * z) * (z ** -3 + tau * z ** -1), mu - 2 * z, z ** -3 + tau * z ** -1),
+        (z ** -3 + mu * z ** -1, mu - 2 * z, None),
+        ((z - 1) * (mu * z ** -2 + 3), z - 1, mu * z ** -2 + 3),
+        (z ** -2 + 1, z - 1, None),
+    ],
+)
+def test_certificate_decides(p, d, quotient):
+    value = certificate(p, d)
+    assert value is not None and bool(value) == (quotient is None)
+    assert exact_divide(p, d) == quotient == reference_divide(p, d)
+
+
+@pytest.mark.parametrize(
+    "p, d, quotient",
+    [
+        # the pivot coefficient of the primitive integer divisor is a multiple of P
         ((mu + Fraction(1, PRIME) * tau) * z ** -1, mu + Fraction(1, PRIME) * tau, z ** -1),
-        # pivot coefficient a multiple of P
+        (u + 1, mu + Fraction(1, PRIME) * tau, None),
         ((PRIME * mu + tau) * (u + 1), PRIME * mu + tau, u + 1),
+        ((PRIME * mu + tau) * z ** -2, 2 * PRIME * mu + 2 * tau, (z ** -2).scaled(Fraction(1, 2))),
         ((PRIME * mu + tau) * (u + 1) + 1, PRIME * mu + tau, None),
         # the Laurent pivot z is zero on the zero set of 2z
         (mu * z ** -1, 2 * z, (mu * z ** -2).scaled(Fraction(1, 2))),
@@ -280,30 +310,37 @@ def test_certificate_point_is_off_shared_lines():
     ],
 )
 def test_certificate_declines(p, d, quotient):
-    assert poly._value_on_zero_set(p, d) is None
+    assert certificate(p, d) is None
     assert exact_divide(p, d) == quotient == reference_divide(p, d)
 
 
 def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch):
-    """Failed divisions that reach long division, over 40 seed-1 requests."""
+    """Every failed division is decided before long division, and no
+    succeeding one is, over 40 seed-1 abelian-query requests, 18 su2-chart
+    requests and one tiny presentation batch."""
     workloads = benchmark_workloads()
     certify = poly._value_on_zero_set
-    decided = misses = 0
+    decided = misses = false_alarms = 0
 
-    def counted(p, d):
-        nonlocal decided, misses
-        value = certify(p, d)
-        if value:
-            decided += 1
-        elif reference_divide(p, d) is None:
-            misses += 1
+    def counted(dividend, divisor, laurent):
+        nonlocal decided, misses, false_alarms
+        value = certify(dividend, divisor, laurent)
+        table = VariableTable.make((f"x{i}", flag) for i, flag in enumerate(laurent))
+        p, d = (ExactPolynomial(table, dict(terms)) for terms in (dividend, divisor))
+        fails = reference_divide(p, d) is None
+        decided += bool(value)
+        misses += fails and not value
+        false_alarms += bool(value) and not fails
         return value
 
     monkeypatch.setattr(poly, "_value_on_zero_set", counted)
-    for req in next(workloads.abelian_rounds(1, 108))[:40]:
+    requests = next(workloads.abelian_rounds(1, 108))[:40]
+    requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
+    requests += workloads.presentation_batch(1, 0, tiny=True)
+    for req in requests:
         workloads.serve(req)
     assert decided > 1000
-    assert misses == 0
+    assert (misses, false_alarms) == (0, 0)
 
 
 # --- the integer kernels of * and exact_divide --------------------------------
@@ -423,7 +460,7 @@ def test_division_agrees_with_reference(d):
 )
 def test_division_fails_on_a_remainder_partway(p):
     d = 2 * mu ** 2 + 1
-    assert poly._value_on_zero_set(p, d) is None
+    assert certificate(p, d) is None
     assert exact_divide(p, d) is None
     assert reference_divide(p, d) is None
 

@@ -10,6 +10,7 @@ from coulombalg import (
     matter_membership,
     parse_problem_text,
 )
+from coulombalg.problems import MAX_RANK
 
 U1 = "torus_rank = 1\nsu2_blocks = 0\nweight = 1\nweight = -1\n"
 
@@ -36,6 +37,16 @@ def test_parse_errors():
         parse_problem_text(U1 + "flavor = 3\n")
     with pytest.raises(ProblemError):
         parse_problem_text("torus_rank = 1\nweight = 1 2\n")  # wrong length
+
+
+@pytest.mark.parametrize("torus_rank, su2_blocks", [(8, 0), (5, 3), (9, 0), (6, 3), (100000, 0)])
+def test_rank_cap(torus_rank, su2_blocks):
+    text = f"torus_rank = {torus_rank}\nsu2_blocks = {su2_blocks}\n"
+    if torus_rank + su2_blocks <= MAX_RANK:
+        assert parse_problem_text(text).problem().rank == MAX_RANK
+    else:
+        with pytest.raises(ProblemError, match=f"exceeds {MAX_RANK}"):
+            parse_problem_text(text)
 
 
 def test_generator_key_is_a_whole_word():
