@@ -364,7 +364,6 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
     for m in sorted(sectors, reverse=True):
         coeff = sectors[m]
         positive, required = _sector_factors(ring.problem, ring, m)
-        scale = ring.factors.product(positive.items())
         for idx in sorted(required):
             factor = ring.factors.factors[idx]
             coeff, divided = divide_out(coeff, factor, required[idx])
@@ -373,6 +372,7 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
         shift = [0] * len(ring.table)
         for pos, e in zip(z_positions, m):
             shift[pos] = e
+        scale = ring.factors.product(positive.items())
         if scale is not None:
             coeff = coeff * scale
         translated = translated + coeff.monomial_shifted(tuple(shift))
@@ -426,6 +426,12 @@ def _grid_name(rank: int, m: tuple[int, ...]) -> str:
     return "g_" + "_".join(str(c) if c >= 0 else f"m{-c}" for c in m)
 
 
+# One generator, and in a presentation one tag variable, per nonzero grid
+# point: window 1 up to rank 3, window 13 at rank 1.  A rank-2 presentation
+# over the 8 tags of window 1 already takes up to a minute.
+MAX_GRID = 26
+
+
 def abelian_matter_generators(
     ring: AmbientRing, degree_window: int
 ) -> list[tuple[str, ExactPolynomial]]:
@@ -442,6 +448,12 @@ def abelian_matter_generators(
     if degree_window < 1:
         raise ProblemError("degree window must be at least 1")
     problem = ring.problem
+    grid_size = (2 * degree_window + 1) ** problem.rank - 1
+    if grid_size > MAX_GRID:
+        raise ProblemError(
+            f"degree window {degree_window} at rank {problem.rank} gives "
+            f"{grid_size} grid generators, more than {MAX_GRID}"
+        )
     gens: list[tuple[str, ExactPolynomial]] = [("mu", ring.mu())]
     for j, name in enumerate(ring.tau_names):
         gens.append((name, ring.tau(j)))

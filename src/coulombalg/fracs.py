@@ -246,9 +246,10 @@ class FactoredFraction:
             return self.inverse() ** (-exponent)
         # Declared factors are irreducible, so no power of a reduced
         # numerator gains a factor of the denominator.
+        num = self.numerator
         return FactoredFraction(
             self.factors,
-            self.numerator ** exponent,
+            num if _is_one(num) else num ** exponent,
             ((idx, exp * exponent) for idx, exp in self.denominator),
         )
 

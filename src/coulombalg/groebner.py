@@ -9,6 +9,10 @@ and returns the unique reduced basis for the chosen order.  Pairs wait in a
 heap keyed by the order key of their lcm, computed once when the pair is
 formed, and a reduction computes each monomial's order key at most once.
 
+Inside the engine a basis is a list of ``(leading monomial, monic element)``
+pairs; an element's lead is found once, when it enters.
+``GroebnerBasis.basis`` holds the elements alone.
+
 A monomial order is its sort key: a function from an exponent tuple to a
 value that compares like the monomial (``LEX``, ``GREVLEX`` and the block
 orders of ``elimination_order``).
@@ -87,24 +91,25 @@ def _require_plain(p: ExactPolynomial):
 # Reduction and the Buchberger loop
 # ---------------------------------------------------------------------------
 
+# A basis element beside its leading monomial, which is found once, when the
+# element enters a basis.  The engine's own elements are monic.
+LeadPair = tuple[Monomial, ExactPolynomial]
+
 
 def normal_form(
     p: ExactPolynomial,
-    basis: Sequence[ExactPolynomial],
+    basis: Sequence[LeadPair],
     order: MonomialOrder,
-    track: bool = False,
-):
-    """Fully reduce ``p`` by ``basis``; optionally track cofactors.
+) -> ExactPolynomial:
+    """Fully reduce ``p`` by ``basis``, a sequence of ``(lead, element)`` pairs.
 
-    With ``track`` the return value is ``(remainder, cofactors)`` satisfying
-    ``p == sum(cofactors[i] * basis[i]) + remainder``.
-
+    ``lead`` is the element's leading monomial under ``order``.  Each step
+    divides by the coefficient there, so the elements need not be monic.
     Each monomial's order key is computed at most once per call.  The terms
     still to reduce wait in a list sorted by key, largest last; a reduction
     step only adds terms below the one it removes.
     """
     _require_plain(p)
-    table = p.table
     keys: dict[Monomial, tuple] = {}
 
     def key(mono: Monomial) -> tuple:
@@ -113,17 +118,15 @@ def normal_form(
             k = keys[mono] = order(mono)
         return k
 
-    leads = [(i, max(g.terms, key=key), g) for i, g in enumerate(basis) if not g.is_zero]
     work = dict(p.terms)
     queue = sorted((key(m), m) for m in work)
     remainder: dict[Monomial, Fraction] = {}
-    cofactors = [table.zero() for _ in basis] if track else None
     while queue:
         mono = queue.pop()[1]
         coeff = work.pop(mono, None)
         if coeff is None:
             continue  # cancelled after it was queued
-        for gi, lm, g in leads:
+        for lm, g in basis:
             if _monomial_divides(lm, mono):
                 shift = _monomial_sub(mono, lm)
                 scale = coeff / g.terms[lm]
@@ -141,24 +144,18 @@ def normal_form(
                         work[target] = s
                     else:
                         del work[target]
-                if track:
-                    cofactors[gi] = cofactors[gi] + ExactPolynomial(table, {shift: scale})
                 break
         else:
             remainder[mono] = coeff
-    rem = ExactPolynomial(table, remainder)
-    if track:
-        return rem, cofactors
-    return rem
+    return ExactPolynomial(p.table, remainder)
 
 
-def _s_polynomial(f: ExactPolynomial, g: ExactPolynomial, order: MonomialOrder) -> ExactPolynomial:
-    lf = leading_monomial(f, order)
-    lg = leading_monomial(g, order)
+def _s_polynomial(f: LeadPair, g: LeadPair) -> ExactPolynomial:
+    """S-polynomial of two monic ``(lead, element)`` pairs."""
+    (lf, pf), (lg, pg) = f, g
     lcm = _monomial_lcm(lf, lg)
-    mf = ExactPolynomial(f.table, {_monomial_sub(lcm, lf): Fraction(1) / f.terms[lf]})
-    mg = ExactPolynomial(g.table, {_monomial_sub(lcm, lg): Fraction(1) / g.terms[lg]})
-    return mf * f - mg * g
+    sf, sg = _monomial_sub(lcm, lf), _monomial_sub(lcm, lg)
+    return pf.monomial_shifted(sf) - pg.monomial_shifted(sg)
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,8 @@ class GroebnerBasis:
     basis: tuple[ExactPolynomial, ...]
 
     def reduce(self, p: ExactPolynomial) -> ExactPolynomial:
-        return normal_form(p, self.basis, self.order)
+        leads = [(leading_monomial(g, self.order), g) for g in self.basis]
+        return normal_form(p, leads, self.order)
 
     def contains(self, p: ExactPolynomial) -> bool:
         return self.reduce(p).is_zero
@@ -195,73 +193,58 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     its key computed once.  Every pair that survives the criteria is reduced
     by the module's ``normal_form``.
     """
-    table = ideal.table
-    basis: list[ExactPolynomial] = []
-    leads: list[Monomial] = []
-    for g in ideal.generators:
-        lm = leading_monomial(g, order)
-        basis.append(g.scaled(Fraction(1) / g.terms[lm]))
-        leads.append(lm)
+    basis: list[LeadPair] = []
     # Pairs not yet taken: the set answers the chain criterion, the heap
     # hands out the smallest (lcm key, (i, j)) first.
     pairs: set[tuple[int, int]] = set()
     queue: list[tuple[tuple, tuple[int, int]]] = []
 
-    def add_pairs(new: int):
+    def enter(p: ExactPolynomial):  # generators and new remainders alike
+        lm = leading_monomial(p, order)
+        new = len(basis)
+        basis.append((lm, p.scaled(Fraction(1) / p.terms[lm])))
         for t in range(new):
             pairs.add((t, new))
-            heappush(queue, (order(_monomial_lcm(leads[t], leads[new])), (t, new)))
+            heappush(queue, (order(_monomial_lcm(basis[t][0], lm)), (t, new)))
 
-    for new in range(len(basis)):
-        add_pairs(new)
+    for g in ideal.generators:
+        enter(g)
 
     while queue:
         _, (i, j) = heappop(queue)
         pairs.discard((i, j))
-        li, lj = leads[i], leads[j]
+        li, lj = basis[i][0], basis[j][0]
         lcm = _monomial_lcm(li, lj)
         if lcm == _monomial_add(li, lj):
             continue  # disjoint leading monomials reduce to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _monomial_divides(leads[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        h = normal_form(s, basis, order)
-        if h.is_zero:
-            continue
-        hl = leading_monomial(h, order)
-        basis.append(h.scaled(Fraction(1) / h.terms[hl]))
-        leads.append(hl)
-        add_pairs(len(basis) - 1)
+        if any(
+            k not in (i, j)
+            and _monomial_divides(lk, lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k, (lk, _) in enumerate(basis)
+        ):
+            continue  # chain criterion: a third lead divides the lcm
+        h = normal_form(_s_polynomial(basis[i], basis[j]), basis, order)
+        if not h.is_zero:
+            enter(h)
 
-    return GroebnerBasis(table, order, tuple(_interreduce(basis, order)))
+    return GroebnerBasis(ideal.table, order, tuple(_interreduce(basis, order)))
 
 
-def _interreduce(basis: list[ExactPolynomial], order: MonomialOrder) -> list[ExactPolynomial]:
+def _interreduce(basis: list[LeadPair], order: MonomialOrder) -> list[ExactPolynomial]:
     # Minimalize: drop elements whose leading monomial another one divides.
-    items = sorted(
-        ((leading_monomial(g, order), g) for g in basis if not g.is_zero),
-        key=lambda item: order(item[0]),
-    )
-    minimal: list[tuple[Monomial, ExactPolynomial]] = []
-    for lg, g in items:
+    minimal: list[LeadPair] = []
+    for lg, g in sorted(basis, key=lambda item: order(item[0])):
         if not any(_monomial_divides(lh, lg) for lh, _ in minimal):
             minimal.append((lg, g))
-    # Tail-reduce each element against the others; no other leading
-    # monomial divides its own, so that stays its leading monomial.
-    polys = [g for _, g in minimal]
-    reduced: list[ExactPolynomial] = []
-    for idx, (lg, g) in enumerate(minimal):
-        h = normal_form(g, polys[:idx] + polys[idx + 1 :], order)
-        reduced.append(h.scaled(Fraction(1) / h.terms[lg]))
+    # Tail-reduce each element against the others.  No other leading
+    # monomial divides its own, and a reduction step only adds terms below
+    # the one it removes, so the leading term stays, with coefficient 1.
+    reduced = [
+        normal_form(g, minimal[:idx] + minimal[idx + 1 :], order)
+        for idx, (_, g) in enumerate(minimal)
+    ]
     return reduced[::-1]  # largest leading monomial first
 
 

@@ -320,7 +320,7 @@ class ExactPolynomial:
         self._check(value)
         result = self.table.zero()
         for (exp,), rest in self.sector_split((position,)).items():
-            result = result + rest * value ** exp
+            result = result + (rest * value ** exp if exp else rest)
         return result
 
     def transfer(self, table: VariableTable) -> "ExactPolynomial":

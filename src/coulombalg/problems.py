@@ -11,9 +11,11 @@ Format, one statement per line (``#`` starts a comment):
 
 ``weight`` lines repeat, one integer vector of length rank each;
 ``generator`` lines optionally override the default generator list used by
-presentation-level commands.  The rank ``torus_rank + su2_blocks`` may not
-exceed ``MAX_RANK``: building the ambient ring takes time at least quadratic
-in it.
+presentation-level commands.  Sizes are capped before anything is built:
+the rank ``torus_rank + su2_blocks`` by ``MAX_RANK``, the number of weight
+lines by ``MAX_WEIGHTS`` and, per coordinate i, the Euler-section degree
+``sum |nu_i|`` over the weights by ``MAX_WEIGHT_DEGREE``.  The window is capped
+where it becomes a grid (``coulomb.MAX_GRID``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,16 @@ from .fracs import FactoredFraction
 from .parsing import parse_expression
 from .rootdata import AmbientRing, CoulombProblem
 
+# Building the ambient ring takes time at least quadratic in the rank.
 MAX_RANK = 8
+# The ball model's diagonal operator multiplies one weight form per weight
+# line, so its degree is the weight count: the same bound as an exponent in
+# an expression (parsing.MAX_EXPONENT).
+MAX_WEIGHTS = 64
+# The Euler section sends z_i to weight forms of total degree sum |nu_i|, and
+# the grid generator z^m carries |m_i| times that; at this cap and the grid
+# cap, ``generators`` finishes in about a second.
+MAX_WEIGHT_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,20 @@ def parse_problem_text(text: str) -> ProblemFile:
         raise ProblemError(
             f"rank torus_rank + su2_blocks = {torus_rank + su2_blocks} exceeds {MAX_RANK}"
         )
+    if len(weights) > MAX_WEIGHTS:
+        raise ProblemError(f"{len(weights)} weight lines exceed {MAX_WEIGHTS}")
     if degree_window < 1:
         raise ProblemError("degree_window must be at least 1")
     pf = ProblemFile(
         torus_rank, su2_blocks, tuple(weights), degree_window, tuple(overrides)
     )
     pf.problem()  # validate rank/weight shapes eagerly
+    for i in range(torus_rank + su2_blocks):
+        degree = sum(abs(w[i]) for w in weights)
+        if degree > MAX_WEIGHT_DEGREE:
+            raise ProblemError(
+                f"Euler-section degree sum |nu_{i + 1}| = {degree} exceeds {MAX_WEIGHT_DEGREE}"
+            )
     return pf
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import random
 import sys
@@ -124,6 +125,46 @@ def rand_blowup_element(
         if coeff:
             terms[tuple(mono)] = coeff
     return ExactPolynomial(table, terms)
+
+
+def divide(p: ExactPolynomial, basis, order) -> tuple[ExactPolynomial, list[ExactPolynomial]]:
+    """Plain multivariate division of ``p`` by the polynomials ``basis``.
+
+    Returns ``(remainder, cofactors)`` with ``p == sum(c * g) + remainder``
+    and no term of the remainder divisible by a leading monomial.  Written
+    out here as a second route: it shares no code with ``groebner``.
+    """
+    key = functools.cache(order)
+    leads = [max(g.terms, key=key) for g in basis]
+    terms = dict(p.terms)
+    cofactors: list[dict] = [{} for _ in basis]
+    remainder = {}
+    while terms:
+        mono = max(terms, key=key)
+        coeff = terms.pop(mono)
+        k = next(
+            (k for k, lm in enumerate(leads) if all(a <= b for a, b in zip(lm, mono))), None
+        )
+        if k is None:
+            remainder[mono] = coeff
+            continue
+        g, lm = basis[k], leads[k]
+        scale = coeff / g.terms[lm]
+        shift = tuple(a - b for a, b in zip(mono, lm))
+        cofactors[k][shift] = scale  # each step removes a smaller monomial
+        for m, c in g.terms.items():
+            if m == lm:
+                continue
+            target = tuple(a + b for a, b in zip(shift, m))
+            value = terms.get(target, Fraction(0)) - scale * c
+            if value:
+                terms[target] = value
+            else:
+                terms.pop(target, None)
+    return (
+        ExactPolynomial(p.table, remainder),
+        [ExactPolynomial(p.table, c) for c in cofactors],
+    )
 
 
 def rand_member(rng: random.Random, ring: AmbientRing, generators, size: int = 3):

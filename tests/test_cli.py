@@ -84,6 +84,38 @@ def test_rank_cap_exits_2(capsys, tmp_path, torus_rank, accepted):
         assert err.startswith("error: ") and "exceeds 8" in err
 
 
+@pytest.mark.parametrize("lines, accepted", [
+    (["weight = 0"] * 64, True), (["weight = 0"] * 65, False),
+    (["weight = 16"], True), (["weight = 5000", "weight = -1"], False),
+])
+def test_weight_caps_exit_2(capsys, tmp_path, lines, accepted):
+    path = tmp_path / "weights.prob"
+    path.write_text("torus_rank = 1\n" + "".join(line + "\n" for line in lines))
+    code, out, err = run(capsys, "generators", "--problem", str(path))
+    if accepted:
+        assert code == 0 and out and not err
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "exceed" in err
+
+
+@pytest.mark.parametrize("window, flag, accepted", [
+    ("13", None, True), ("14", None, False), ("100000", None, False),
+    ("1", "13", True), ("1", "14", False), ("13", "14", False), ("100000", "1", True),
+])
+def test_grid_cap_exits_2(capsys, tmp_path, window, flag, accepted):
+    path = tmp_path / "window.prob"
+    path.write_text(U1 + f"degree_window = {window}\n")
+    argv = ["generators", "--problem", str(path)] + (["--degree", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    if accepted:
+        assert code == 0 and not err
+        assert len(out.splitlines()) == 2 + (26 if "13" in (window, flag) else 2)
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "more than 26" in err
+
+
 def test_non_utf8_problem_file_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.prob"
     path.write_bytes(U1.encode() + "# caf\xe9\n".encode("latin-1"))

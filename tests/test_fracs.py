@@ -5,11 +5,14 @@ import random
 import pytest
 
 from coulombalg import (
+    CoulombProblem,
     ExactPolynomial,
     FactoredFraction,
     FactorSet,
     ReductionError,
     VariableTable,
+    ambient_table,
+    matter_membership,
     same_value,
     unit_decompose,
 )
@@ -99,11 +102,21 @@ def test_products_do_not_multiply_by_one(monkeypatch):
     a = frac(mu, [(idx(tau), 1)])
     inv = frac(TABLE.one(), [(idx(mu + tau), 1)])
     expected = frac(mu, [(idx(tau), 1), (idx(mu + tau), 1)]), frac(3 * mu, [(idx(tau), 1)])
+    ring = ambient_table(CoulombProblem.make(1, 0, [(1,), (1,), (-1,)]))
+    p, image = mu + z * tau, mu + mu * tau
     monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
     assert a * inv == inv * a == expected[0]
     assert FS.one() * FS.one() == FS.one()
     assert a * 3 == expected[1]
     assert len(products) == 1  # mu * 3
+    # A power of a numerator of one, and the exponent-0 part of a substitution.
+    assert inv ** 3 == frac(TABLE.one(), [(idx(mu + tau), 3)])
+    assert p.assign_polynomial(TABLE.index("z"), mu) == image
+    assert len(products) == 2  # and tau * mu
+    # A sector that fails its divisibility test builds no translation factor:
+    # z needs (mu - tau) to divide its coefficient 1 before (mu + tau)^2 is formed.
+    assert not matter_membership(ring, ring.z(0)).member
+    assert len(products) == 2
 
 
 def test_field_axioms_random():

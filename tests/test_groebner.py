@@ -1,6 +1,7 @@
 """Buchberger bases, normal forms, kernels, subalgebra membership."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,16 +10,16 @@ from coulombalg import (
     LEX,
     FactoredFraction,
     FactorSet,
+    GroebnerBasis,
     Ideal,
     VariableTable,
     buchberger,
     elimination_order,
     evaluate_tags,
-    normal_form,
     ring_map_kernel,
     subalgebra_membership,
 )
-from conftest import rand_polynomial
+from conftest import divide, rand_polynomial
 
 # Encoded (Laurent-free) table: z with partner zi, then tau, u, mu.
 ENC = VariableTable.make(
@@ -55,19 +56,32 @@ def test_normal_form_examples():
 
 
 def test_cofactor_tracking_random_members():
+    """The test-side division's remainder is the normal form, members or not.
+
+    The remainder modulo a Groebner basis is unique (Cox, Little & O'Shea,
+    Prop. 2.6.1), so plain division and ``reduce`` must agree.  Reduction
+    divides by each lead coefficient, so a rescaled basis agrees too.
+    """
     rng = random.Random(31)
     gens = (PAIRING, BLOWUP, tau ** 2)
     gb = buchberger(Ideal(ENC, gens), GREVLEX)
-    for _ in range(100):
-        member = ENC.zero()
+    rescaled = GroebnerBasis(ENC, GREVLEX, tuple(g.scaled(Fraction(-3, 2)) for g in gb.basis))
+    nonzero = 0
+    for trial in range(100):
+        p = ENC.zero()
         for g in gb.basis:
-            member = member + rand_polynomial(rng, ENC, max_terms=2, max_degree=2, height=4) * g
-        remainder, cofactors = normal_form(member, gb.basis, GREVLEX, track=True)
-        assert remainder.is_zero
-        rebuilt = ENC.zero()
+            p = p + rand_polynomial(rng, ENC, max_terms=2, max_degree=2, height=4) * g
+        if trial % 2:
+            p = p + rand_polynomial(rng, ENC, max_terms=3, max_degree=2, height=4)
+        remainder, cofactors = divide(p, gb.basis, GREVLEX)
+        rebuilt = remainder
         for c, g in zip(cofactors, gb.basis):
             rebuilt = rebuilt + c * g
-        assert rebuilt == member
+        assert rebuilt == p
+        assert remainder == gb.reduce(p) == rescaled.reduce(p)
+        assert remainder.is_zero or trial % 2
+        nonzero += not remainder.is_zero
+    assert nonzero > 25
 
 
 def test_two_orders_same_ideal():

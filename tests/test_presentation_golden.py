@@ -9,8 +9,9 @@ order, so any change to the basis computation must reproduce them byte for
 byte.  To record them again after an intended output change, run
 ``PYTHONPATH=src python tests/test_presentation_golden.py``.
 
-``is_groebner_basis`` re-checks every basis the jobs compute with its own
-reduction loop, which shares no code with ``groebner.normal_form``.
+``is_groebner_basis`` re-checks every basis the jobs compute with the
+test-side division ``conftest.divide``, which shares no code with
+``groebner``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from coulombalg import VariableTable, coulomb, groebner, printing, problems, rootdata
-from conftest import benchmark_workloads
+from coulombalg import (
+    ExactPolynomial, VariableTable, coulomb, groebner, printing, problems, rootdata,
+)
+from conftest import benchmark_workloads, divide
 
 SNAPSHOTS = Path(__file__).resolve().parent / "golden" / "presentations.json"
 workloads = benchmark_workloads()
@@ -53,62 +56,30 @@ def present(text: str) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# A second route: plain multivariate division, written out here
-# ---------------------------------------------------------------------------
-
-
-def _lead(terms: dict, order) -> tuple:
-    return max(terms, key=order)
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _reduces_to_zero(terms: dict, basis: list[dict], leads: list[tuple], order) -> bool:
-    while terms:
-        mono = _lead(terms, order)
-        divisor = next((k for k, lm in enumerate(leads) if _divides(lm, mono)), None)
-        if divisor is None:
-            return False
-        g, lm = basis[divisor], leads[divisor]
-        scale = terms[mono] / g[lm]
-        shift = tuple(a - b for a, b in zip(mono, lm))
-        for m, c in g.items():
-            target = tuple(a + b for a, b in zip(shift, m))
-            value = terms.get(target, Fraction(0)) - scale * c
-            if value:
-                terms[target] = value
-            else:
-                terms.pop(target, None)
-    return True
-
-
 def is_groebner_basis(gb: groebner.GroebnerBasis) -> bool:
     """Monic, reduced, and every S-pair reduces to zero by plain division."""
-    basis = [dict(g.terms) for g in gb.basis]
-    leads = [_lead(g, gb.order) for g in basis]
-    if any(g[lm] != 1 for g, lm in zip(basis, leads)):
+    leads = [max(g.terms, key=gb.order) for g in gb.basis]
+    if any(g.terms[lm] != 1 for g, lm in zip(gb.basis, leads)):
         return False
     for i, lm in enumerate(leads):
-        for j, g in enumerate(basis):
-            if i != j and any(_divides(lm, m) for m in g):
+        for j, g in enumerate(gb.basis):
+            if i != j and any(all(a <= b for a, b in zip(lm, m)) for m in g.terms):
                 return False
-    for j in range(len(basis)):
+    for j in range(len(gb.basis)):
         for i in range(j):
             lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
             s: dict = {}
-            for g, lm, sign in ((basis[i], leads[i], 1), (basis[j], leads[j], -1)):
+            for g, lm, sign in ((gb.basis[i], leads[i], 1), (gb.basis[j], leads[j], -1)):
                 shift = tuple(a - b for a, b in zip(lcm, lm))
-                for m, c in g.items():
+                for m, c in g.terms.items():
                     target = tuple(a + b for a, b in zip(shift, m))
                     value = s.get(target, Fraction(0)) + sign * c
                     if value:
                         s[target] = value
                     else:
                         s.pop(target, None)
-            if not _reduces_to_zero(s, basis, leads, gb.order):
+            remainder, _ = divide(ExactPolynomial(gb.table, s), gb.basis, gb.order)
+            if not remainder.is_zero:
                 return False
     return True
 
@@ -175,13 +146,13 @@ def test_su2_standard_pair_schedule(monkeypatch):
         counts[-1]["basis"] = len(gb.basis)
         return gb
 
-    def s_polynomial(f, g, order):
+    def s_polynomial(f, g):
         if inside:
             counts[-1]["spairs"] += 1
-        return real_spoly(f, g, order)
+        return real_spoly(f, g)
 
-    def normal_form(p, basis, order, track=False):
-        result = real_nf(p, basis, order, track)
+    def normal_form(p, basis, order):
+        result = real_nf(p, basis, order)
         if inside and result.is_zero:
             counts[-1]["zero"] += 1
         return result

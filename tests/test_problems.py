@@ -10,7 +10,8 @@ from coulombalg import (
     matter_membership,
     parse_problem_text,
 )
-from coulombalg.problems import MAX_RANK
+from coulombalg.coulomb import MAX_GRID, abelian_matter_generators
+from coulombalg.problems import MAX_RANK, MAX_WEIGHT_DEGREE, MAX_WEIGHTS
 
 U1 = "torus_rank = 1\nsu2_blocks = 0\nweight = 1\nweight = -1\n"
 
@@ -47,6 +48,46 @@ def test_rank_cap(torus_rank, su2_blocks):
     else:
         with pytest.raises(ProblemError, match=f"exceeds {MAX_RANK}"):
             parse_problem_text(text)
+
+
+@pytest.mark.parametrize("count", [MAX_WEIGHTS, MAX_WEIGHTS + 1])
+def test_weight_count_cap(count):
+    text = "torus_rank = 1\n" + "weight = 0\n" * count
+    if count <= MAX_WEIGHTS:
+        assert len(parse_problem_text(text).weights) == count
+    else:
+        with pytest.raises(ProblemError, match=f"exceed {MAX_WEIGHTS}"):
+            parse_problem_text(text)
+
+
+@pytest.mark.parametrize("weights, accepted", [
+    (["16"], True), (["-16"], True), (["17"], False), (["-17"], False),
+    (["8", "-8"], True), (["8", "-9"], False),
+    (["16 -16", "0 0"], True), (["16 0", "0 -17"], False), (["10 1", "-7 1"], False),
+])
+def test_weight_degree_cap(weights, accepted):
+    assert MAX_WEIGHT_DEGREE == 16  # the rows sit at the cap and one past it
+    rank = len(weights[0].split())
+    text = f"torus_rank = {rank}\n" + "".join(f"weight = {w}\n" for w in weights)
+    if accepted:
+        assert len(parse_problem_text(text).weights) == len(weights)
+    else:
+        with pytest.raises(ProblemError, match=f"exceeds {MAX_WEIGHT_DEGREE}"):
+            parse_problem_text(text)
+
+
+@pytest.mark.parametrize("rank, window, accepted", [
+    (1, 13, True), (1, 14, False), (2, 2, True), (2, 3, False), (3, 1, True), (4, 1, False),
+    (1, 100000, False),
+])
+def test_grid_cap(rank, window, accepted):
+    ring = ambient_table(CoulombProblem.make(rank, 0, []))
+    if accepted:
+        gens = abelian_matter_generators(ring, window)
+        assert len(gens) == 1 + rank + (2 * window + 1) ** rank - 1 <= 1 + rank + MAX_GRID
+    else:
+        with pytest.raises(ProblemError, match=f"more than {MAX_GRID}"):
+            abelian_matter_generators(ring, window)
 
 
 def test_generator_key_is_a_whole_word():
