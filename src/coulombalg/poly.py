@@ -193,12 +193,12 @@ class ExactPolynomial:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        return ExactPolynomial(self.table, terms)
+        return ExactPolynomial._unchecked(self.table, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return ExactPolynomial._unchecked(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "ExactPolynomial":
         return self + (-self._coerce(other))
@@ -227,7 +227,7 @@ class ExactPolynomial:
         c = Fraction(scalar)
         if c == 0:
             return self.table.zero()
-        return ExactPolynomial(self.table, {m: k * c for m, k in self.terms.items()})
+        return ExactPolynomial._unchecked(self.table, {m: k * c for m, k in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "ExactPolynomial":
         if not isinstance(exponent, int):

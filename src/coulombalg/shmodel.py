@@ -20,7 +20,8 @@ section image can break the converse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Sequence
 
 from .coulomb import Element, euler_section
@@ -75,10 +76,8 @@ def seidel_operator(ring: EquivariantRing, weight: Sequence[int]) -> ExactPolyno
 
 def diagonal_seidel(ring: EquivariantRing) -> ExactPolynomial:
     """Operator of the diagonal rotation: the product over all weights."""
-    total = ring.table.one()
-    for w in ring.problem.weights:
-        total = total * ring.psi(w)
-    return total
+    forms = [ring.psi(w) for w in ring.problem.weights]
+    return reduce(mul, forms) if forms else ring.table.one()
 
 
 @dataclass(frozen=True)

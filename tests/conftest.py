@@ -15,6 +15,7 @@ from coulombalg import (
     AmbientRing,
     CoulombProblem,
     ExactPolynomial,
+    GroebnerBasis,
     VariableTable,
     ambient_table,
 )
@@ -165,6 +166,38 @@ def divide(p: ExactPolynomial, basis, order) -> tuple[ExactPolynomial, list[Exac
         ExactPolynomial(p.table, remainder),
         [ExactPolynomial(p.table, c) for c in cofactors],
     )
+
+
+def is_groebner_basis(gb: GroebnerBasis) -> bool:
+    """Monic, reduced, and every S-pair reduces to zero by plain division.
+
+    Every step runs through ``divide``, so the check shares no code with
+    ``groebner``.
+    """
+    leads = [max(g.terms, key=gb.order) for g in gb.basis]
+    if any(g.terms[lm] != 1 for g, lm in zip(gb.basis, leads)):
+        return False
+    for i, lm in enumerate(leads):
+        for j, g in enumerate(gb.basis):
+            if i != j and any(all(a <= b for a, b in zip(lm, m)) for m in g.terms):
+                return False
+    for j in range(len(gb.basis)):
+        for i in range(j):
+            lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+            s: dict = {}
+            for g, lm, sign in ((gb.basis[i], leads[i], 1), (gb.basis[j], leads[j], -1)):
+                shift = tuple(a - b for a, b in zip(lcm, lm))
+                for m, c in g.terms.items():
+                    target = tuple(a + b for a, b in zip(shift, m))
+                    value = s.get(target, Fraction(0)) + sign * c
+                    if value:
+                        s[target] = value
+                    else:
+                        s.pop(target, None)
+            remainder, _ = divide(ExactPolynomial(gb.table, s), gb.basis, gb.order)
+            if not remainder.is_zero:
+                return False
+    return True
 
 
 def rand_member(rng: random.Random, ring: AmbientRing, generators, size: int = 3):

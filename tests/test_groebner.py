@@ -19,7 +19,7 @@ from coulombalg import (
     ring_map_kernel,
     subalgebra_membership,
 )
-from conftest import divide, rand_polynomial
+from conftest import divide, is_groebner_basis, rand_polynomial
 
 # Encoded (Laurent-free) table: z with partner zi, then tau, u, mu.
 ENC = VariableTable.make(
@@ -92,6 +92,30 @@ def test_two_orders_same_ideal():
         assert b.reduce(g).is_zero
     for g in b.basis:
         assert a.reduce(g).is_zero
+
+
+@pytest.mark.parametrize(
+    "order",
+    [elimination_order(1), elimination_order(2), LEX],
+    ids=["eliminate-1", "eliminate-2", "lex"],
+)
+def test_sugar_route_random_ideals(order):
+    """Every order but GREVLEX selects pairs by sugar.  Each basis passes the
+    test-side check and spans the same ideal as the GREVLEX basis, which
+    keeps the normal strategy: plain division reduces each element of one
+    basis to zero by the other."""
+    rng = random.Random(20261018)
+    table = VariableTable.make([("a", False), ("b", False), ("c", False)])
+    nontrivial = 0
+    for _ in range(20):
+        gens = [rand_polynomial(rng, table, max_terms=4, max_degree=2, height=4) for _ in range(3)]
+        ideal = Ideal(table, tuple(g for g in gens if not g.is_zero))
+        gb, reference = buchberger(ideal, order), buchberger(ideal, GREVLEX)
+        assert is_groebner_basis(gb)
+        assert all(divide(g, reference.basis, GREVLEX)[0].is_zero for g in gb.basis)
+        assert all(divide(g, gb.basis, order)[0].is_zero for g in reference.basis)
+        nontrivial += len(gb.basis) > 1
+    assert nontrivial > 10
 
 
 def test_elimination_contains_xy_relation():

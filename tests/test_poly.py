@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from coulombalg import ExactPolynomial, VariableTable, exact_divide, poly
+from coulombalg import ExactPolynomial, VariableTable, exact_divide, groebner, poly
 from coulombalg.poly import divide_out
 from conftest import benchmark_workloads, rand_polynomial
 
@@ -411,6 +411,32 @@ def test_product_agrees_with_reference():
             tuple(p + q for p, q in zip(m1, m2)) for m1 in a.terms for m2 in b.terms
         })
     assert cancelled > 20
+
+
+def test_trusted_results_match_checked_construction():
+    """Sums, differences, negations, ``scaled`` and ``normal_form``'s
+    remainder skip the constructor's checks.  Each result is what the
+    checking constructor builds from its terms, with only nonzero
+    ``Fraction`` coefficients."""
+    rng = random.Random(20261021)
+    results = []
+    for _ in range(100):
+        a, b = rand_dense(rng), rand_dense(rng)
+        c = Fraction(rng.choice((-3, -1, 2)), rng.choice(DENOMINATORS))
+        results += [a + b, a - b, a - a, -a, a.scaled(c), a + c, c - a]
+    plain = VariableTable.make([("x", False), ("y", False), ("w", False)])
+    x, y, w = (plain.var(n) for n in plain.names)
+    gb = groebner.buchberger(
+        groebner.Ideal(plain, (x * y - w.scaled(Fraction(2, 3)), x * x - y + 1)), groebner.GREVLEX
+    )
+    remainders = [
+        gb.reduce(rand_polynomial(rng, plain, max_terms=5, max_degree=3)) for _ in range(100)
+    ]
+    assert sum(not r.is_zero for r in remainders) > 50
+    for r in results + remainders:
+        assert all(type(c) is Fraction and c for c in r.terms.values())
+        checked = ExactPolynomial(r.table, r.terms)
+        assert r == checked and hash(r) == hash(checked)
 
 
 def rand_quotient(rng):

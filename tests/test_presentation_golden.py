@@ -9,8 +9,8 @@ order, so any change to the basis computation must reproduce them byte for
 byte.  To record them again after an intended output change, run
 ``PYTHONPATH=src python tests/test_presentation_golden.py``.
 
-``is_groebner_basis`` re-checks every basis the jobs compute with the
-test-side division ``conftest.divide``, which shares no code with
+``conftest.is_groebner_basis`` re-checks every basis the jobs compute with
+the test-side division ``conftest.divide``, which shares no code with
 ``groebner``.
 """
 
@@ -23,9 +23,9 @@ from pathlib import Path
 import pytest
 
 from coulombalg import (
-    ExactPolynomial, VariableTable, coulomb, groebner, printing, problems, rootdata,
+    VariableTable, coulomb, groebner, printing, problems, rootdata,
 )
-from conftest import benchmark_workloads, divide
+from conftest import benchmark_workloads, is_groebner_basis
 
 SNAPSHOTS = Path(__file__).resolve().parent / "golden" / "presentations.json"
 workloads = benchmark_workloads()
@@ -54,34 +54,6 @@ def present(text: str) -> dict:
         "relations": [printing.format_element(r) for r in pres.relations],
         "fiber": [printing.format_element(r) for r in fiber.relations],
     }
-
-
-def is_groebner_basis(gb: groebner.GroebnerBasis) -> bool:
-    """Monic, reduced, and every S-pair reduces to zero by plain division."""
-    leads = [max(g.terms, key=gb.order) for g in gb.basis]
-    if any(g.terms[lm] != 1 for g, lm in zip(gb.basis, leads)):
-        return False
-    for i, lm in enumerate(leads):
-        for j, g in enumerate(gb.basis):
-            if i != j and any(all(a <= b for a, b in zip(lm, m)) for m in g.terms):
-                return False
-    for j in range(len(gb.basis)):
-        for i in range(j):
-            lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-            s: dict = {}
-            for g, lm, sign in ((gb.basis[i], leads[i], 1), (gb.basis[j], leads[j], -1)):
-                shift = tuple(a - b for a, b in zip(lcm, lm))
-                for m, c in g.terms.items():
-                    target = tuple(a + b for a, b in zip(shift, m))
-                    value = s.get(target, Fraction(0)) + sign * c
-                    if value:
-                        s[target] = value
-                    else:
-                        s.pop(target, None)
-            remainder, _ = divide(ExactPolynomial(gb.table, s), gb.basis, gb.order)
-            if not remainder.is_zero:
-                return False
-    return True
 
 
 @pytest.fixture
@@ -128,23 +100,24 @@ def test_is_groebner_basis_rejects_non_bases():
     assert is_groebner_basis(full)
 
 
-def test_su2_standard_pair_schedule(monkeypatch):
-    """The elimination reduces the same S-pairs as the normal strategy with
-    the (lcm key, generator indices) tie-break; the counts were recorded
-    before the pair queue became a heap."""
+@pytest.fixture
+def pair_schedules(monkeypatch) -> list[dict]:
+    """S-pairs formed, zero reductions and basis size of every basis computed
+    while the test runs, in order, whether ``groebner`` or ``coulomb`` asks."""
     counts: list[dict] = []
-    inside = []  # nonempty while the patched buchberger runs
-    real_buchberger, real_spoly, real_nf = (
-        groebner.buchberger, groebner._s_polynomial, groebner.normal_form
-    )
+    inside = []  # nonempty while a patched buchberger runs
+    real_spoly, real_nf = groebner._s_polynomial, groebner.normal_form
 
-    def buchberger(ideal, order):
-        counts.append({"spairs": 0, "zero": 0})
-        inside.append(True)
-        gb = real_buchberger(ideal, order)
-        inside.pop()
-        counts[-1]["basis"] = len(gb.basis)
-        return gb
+    def counted(real_buchberger):
+        def buchberger(ideal, order):
+            counts.append({"spairs": 0, "zero": 0})
+            inside.append(True)
+            gb = real_buchberger(ideal, order)
+            inside.pop()
+            counts[-1]["basis"] = len(gb.basis)
+            return gb
+
+        return buchberger
 
     def s_polynomial(f, g):
         if inside:
@@ -157,13 +130,32 @@ def test_su2_standard_pair_schedule(monkeypatch):
             counts[-1]["zero"] += 1
         return result
 
-    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    for module in (groebner, coulomb):
+        monkeypatch.setattr(module, "buchberger", counted(module.buchberger))
     monkeypatch.setattr(groebner, "_s_polynomial", s_polynomial)
     monkeypatch.setattr(groebner, "normal_form", normal_form)
+    return counts
+
+
+def test_su2_standard_pair_schedule(pair_schedules):
+    """The block-order elimination follows the sugar strategy, keyed by
+    ((sugar, lcm key), generator indices).  The counts were recorded when
+    sugar replaced the normal strategy there, which formed 397 S-pairs and
+    reduced 311 of them to zero for the same 38 elements."""
     present(SU2_STANDARD)
     # The elimination is the last basis a presentation computes; the
     # membership checks of the generators come before it.
-    assert counts[-1] == {"spairs": 397, "zero": 311, "basis": 38}
+    assert pair_schedules[-1] == {"spairs": 219, "zero": 176, "basis": 38}
+
+
+def test_su2_membership_pair_schedule(pair_schedules, su2_standard):
+    """GREVLEX bases keep the normal strategy, keyed by (lcm key, generator
+    indices).  The counts of the membership basis for w * x were recorded
+    before sugar selection existed; under sugar the same basis forms 24
+    S-pairs and reduces 16 of them to zero."""
+    gens = dict(problems.standard_block_generators(su2_standard))
+    assert coulomb.matter_membership(su2_standard, gens["w"] * gens["x"]).member
+    assert pair_schedules == [{"spairs": 15, "zero": 9, "basis": 7}]
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import pytest
 
 from coulombalg import (
     CoulombProblem,
+    ExactPolynomial,
     FactoredFraction,
     MorphismError,
     acceleration_membership,
@@ -42,6 +43,21 @@ def test_diagonal_seidel_values(u1_pm1):
 
     empty = equivariant_ring(CoulombProblem.make(1, 0, []))
     assert diagonal_seidel(empty) == empty.table.one()
+
+
+def test_diagonal_seidel_does_not_multiply_by_one(monkeypatch):
+    er = equivariant_ring(CoulombProblem.make(1, 0, [(1,), (-1,), (2,)]))
+    products = []
+    multiply = ExactPolynomial.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
+    diagonal_seidel(er)
+    assert len(products) == 2  # three weight forms
+    assert all(er.table.one() not in pair for pair in products)
 
 
 def test_diagonal_is_product_of_operators():
