@@ -5,17 +5,18 @@ pre-encoded by partner variables with pairing relations ``z * z__inv - 1``,
 and declared denominators are cleared with auxiliary inverses in the same
 way.  The basis computation uses the product and chain criteria and
 deterministic tie-breaking by generator index, and returns the unique
-reduced basis for the chosen order.  Pairs wait in a heap, each key computed
-once when the pair is formed: the sugar strategy selects them under block
-orders and ``LEX``, and the normal strategy under ``GREVLEX`` (see
-``buchberger``).  A reduction computes each monomial's order key at most
-once, and it tests a lead for divisibility only when the lead's support
-mask, one bit per variable with a positive exponent, lies inside the
-term's.
+reduced basis for the chosen order.  Pairs wait in a heap, each key and lcm
+computed once when the pair is formed: the sugar strategy selects them under
+block orders and ``LEX``, and the normal strategy under ``GREVLEX`` (see
+``buchberger``).
 
-Inside the engine a basis is a list of ``(leading monomial, monic element)``
-pairs; an element's lead is found once, when it enters.
-``GroebnerBasis.basis`` holds the elements alone.
+Inside the engine a basis is a list of ``BasisEntry`` records, each built
+once, when its element enters: the lead, the lead's support mask (one bit
+per variable with a positive exponent) and the monic element, also as
+integer numerators.  A reduction runs on integer numerators over one
+denominator (see ``normal_form``).  ``GroebnerBasis.basis`` holds the
+elements alone, which may be non-monic, and ``GroebnerBasis.reduce`` builds
+their entries on each call.
 
 A monomial order is its sort key: a function from an exponent tuple to a
 value that compares like the monomial (``LEX``, ``GREVLEX`` and the block
@@ -29,10 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional, Sequence
+from math import gcd
+from operator import add, le, neg, sub
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .fracs import FactoredFraction, FactorSet
-from .poly import ExactPolynomial, Monomial, VariableTable
+from .poly import ExactPolynomial, Monomial, VariableTable, _integer_terms
 
 # ---------------------------------------------------------------------------
 # Monomial orders
@@ -45,7 +48,7 @@ MonomialOrder = Callable[[Monomial], tuple]
 
 
 def _grevlex_key(exps: Sequence[int]) -> tuple:
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 def _block_key(block: int, mono: Monomial) -> tuple:
@@ -69,22 +72,6 @@ def leading_monomial(p: ExactPolynomial, order: MonomialOrder) -> Monomial:
     return max(p.terms, key=order)
 
 
-def _monomial_divides(d: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(d, m))
-
-
-def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _monomial_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _monomial_add(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _support_mask(mono: Monomial) -> int:
     """One bit per variable whose exponent in ``mono`` is positive."""
     mask = 0
@@ -104,25 +91,45 @@ def _require_plain(p: ExactPolynomial):
 # Reduction and the Buchberger loop
 # ---------------------------------------------------------------------------
 
-# A basis element beside its leading monomial, which is found once, when the
-# element enters a basis.  The engine's own elements are monic.
-LeadPair = tuple[Monomial, ExactPolynomial]
+
+class BasisEntry(NamedTuple):
+    """A basis element and what reduction reads of it (built by ``_entry``)."""
+
+    lead: Monomial  # leading monomial under the basis order
+    mask: int  # support mask of ``lead``
+    scale: int  # lcm of the element's denominators, its integer lead coefficient
+    tail: list[tuple[Monomial, int]]  # the other terms, times ``scale``
+    element: ExactPolynomial  # monic
+
+
+def _entry(g: ExactPolynomial, order: MonomialOrder) -> BasisEntry:
+    lm = leading_monomial(g, order)
+    c = g.terms[lm]
+    if c != 1:
+        g = g.scaled(1 / c)
+    terms, scale = _integer_terms(g)
+    return BasisEntry(lm, _support_mask(lm), scale, [t for t in terms if t[0] != lm], g)
 
 
 def normal_form(
     p: ExactPolynomial,
-    basis: Sequence[LeadPair],
+    basis: Sequence[BasisEntry],
     order: MonomialOrder,
 ) -> ExactPolynomial:
-    """Fully reduce ``p`` by ``basis``, a sequence of ``(lead, element)`` pairs.
+    """Fully reduce ``p`` by ``basis``, a sequence of ``BasisEntry`` records.
 
-    ``lead`` is the element's leading monomial under ``order``.  Each step
-    divides by the coefficient there, so the elements need not be monic.
+    The work polynomial is integer numerators over one denominator ``D``.
+    A term with numerator ``w`` whose first dividing lead has integer
+    coefficient ``a`` is cancelled by ``w / a`` times the shifted integer
+    element; when ``a`` does not divide ``w``, the remaining work and ``D``
+    are first multiplied by ``a / gcd(a, w)``.  A term that no lead divides
+    leaves for the remainder as ``Fraction(w, D)`` with ``D`` as it is then.
+
     Each monomial's order key is computed at most once per call.  The terms
     still to reduce wait in a list sorted by key, largest last; a reduction
-    step only adds terms below the one it removes.  A lead whose support
-    mask has a bit that the term's lacks cannot divide the term and is
-    skipped untested, so the first dividing lead is the same one.
+    step only adds terms below the one it removes.  A lead whose stored
+    support mask has a bit that the term's lacks cannot divide the term and
+    is skipped untested, so the first dividing lead is the same one.
     """
     _require_plain(p)
     keys: dict[Monomial, tuple] = {}
@@ -133,46 +140,53 @@ def normal_form(
             k = keys[mono] = order(mono)
         return k
 
-    masks = [_support_mask(lm) for lm, _ in basis]
-    work = dict(p.terms)
+    terms, den = _integer_terms(p)
+    work = dict(terms)
     queue = sorted((key(m), m) for m in work)
     remainder: dict[Monomial, Fraction] = {}
     while queue:
         mono = queue.pop()[1]
-        coeff = work.pop(mono, None)
-        if coeff is None:
+        w = work.pop(mono, None)
+        if w is None:
             continue  # cancelled after it was queued
         absent = ~_support_mask(mono)
-        for (lm, g), mask in zip(basis, masks):
-            if not mask & absent and _monomial_divides(lm, mono):
-                shift = _monomial_sub(mono, lm)
-                scale = coeff / g.terms[lm]
-                for m2, c2 in g.terms.items():
-                    if m2 == lm:
-                        continue
-                    target = _monomial_add(shift, m2)
+        for lm, mask, a, tail, _ in basis:
+            if not mask & absent and all(map(le, lm, mono)):
+                q, r = divmod(w, a)
+                if r:
+                    common = gcd(a, w)
+                    factor, q = a // common, w // common
+                    work = {m: n * factor for m, n in work.items()}
+                    den *= factor
+                shift = tuple(map(sub, mono, lm))
+                for m2, n2 in tail:
+                    target = tuple(map(add, shift, m2))
                     old = work.get(target)
                     if old is None:
-                        work[target] = -scale * c2
+                        work[target] = -q * n2
                         insort(queue, (key(target), target))
-                        continue
-                    s = old - scale * c2
-                    if s:
-                        work[target] = s
+                    elif old := old - q * n2:
+                        work[target] = old
                     else:
                         del work[target]
                 break
         else:
-            remainder[mono] = coeff
+            remainder[mono] = Fraction(w, den)
     return ExactPolynomial._unchecked(p.table, remainder)
 
 
-def _s_polynomial(f: LeadPair, g: LeadPair) -> ExactPolynomial:
-    """S-polynomial of two monic ``(lead, element)`` pairs."""
-    (lf, pf), (lg, pg) = f, g
-    lcm = _monomial_lcm(lf, lg)
-    sf, sg = _monomial_sub(lcm, lf), _monomial_sub(lcm, lg)
-    return pf.monomial_shifted(sf) - pg.monomial_shifted(sg)
+def _s_polynomial(f: BasisEntry, g: BasisEntry) -> ExactPolynomial:
+    """S-polynomial of two basis entries: each monic element shifted up to
+    the lcm of the two leads, by a shift that is never negative."""
+    lcm = tuple(map(max, f.lead, g.lead))
+
+    def shifted(e: BasisEntry) -> ExactPolynomial:
+        shift = tuple(map(sub, lcm, e.lead))
+        return ExactPolynomial._unchecked(
+            e.element.table, {tuple(map(add, m, shift)): c for m, c in e.element.terms.items()}
+        )
+
+    return shifted(f) - shifted(g)
 
 
 @dataclass(frozen=True)
@@ -194,8 +208,7 @@ class GroebnerBasis:
     basis: tuple[ExactPolynomial, ...]
 
     def reduce(self, p: ExactPolynomial) -> ExactPolynomial:
-        leads = [(leading_monomial(g, self.order), g) for g in self.basis]
-        return normal_form(p, leads, self.order)
+        return normal_form(p, [_entry(g, self.order) for g in self.basis], self.order)
 
     def contains(self, p: ExactPolynomial) -> bool:
         return self.reduce(p).is_zero
@@ -206,7 +219,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
 
     The product and chain criteria prune useless pairs, and every pair that
     survives them is reduced by the module's ``normal_form``.  Pairs wait in
-    a heap, each key computed once, ties broken by generator indices:
+    a heap, each key and lcm computed once, ties broken by generator
+    indices:
 
     - Under ``GREVLEX``, the normal strategy: the key is ``order(lcm)``.
     - Under every other order, the sugar strategy (Giovini et al., "One
@@ -219,44 +233,47 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
       GREVLEX bases of the membership test sugar measured slower, and there
       the degree already leads ``order(lcm)``.
     """
-    basis: list[LeadPair] = []
+    basis: list[BasisEntry] = []
     sugars: list[int] = []  # beside basis
     # Pairs not yet taken: the set answers the chain criterion, the heap
-    # hands out the smallest (key, (i, j)) first.  A pair's sugar rides
-    # along, for its remainder to inherit.
+    # hands out the smallest (key, (i, j)) first.  A pair's sugar and lcm
+    # ride along, the sugar for its remainder to inherit.
     pairs: set[tuple[int, int]] = set()
-    queue: list[tuple[tuple, tuple[int, int], int]] = []
+    queue: list[tuple[tuple, tuple[int, int], int, Monomial]] = []
     by_sugar = order is not GREVLEX
 
     def enter(p: ExactPolynomial, sugar: int):  # generators and new remainders alike
-        lm = leading_monomial(p, order)
+        entry = _entry(p, order)
+        lm = entry.lead
         new = len(basis)
-        basis.append((lm, p.scaled(Fraction(1) / p.terms[lm])))
+        basis.append(entry)
         sugars.append(sugar)
         for t in range(new):
-            lt = basis[t][0]
-            lcm = _monomial_lcm(lt, lm)
+            lt = basis[t].lead
+            lcm = tuple(map(max, lt, lm))
             degree = sum(lcm)
             s = max(sugars[t] + degree - sum(lt), sugar + degree - sum(lm))
             pairs.add((t, new))
-            heappush(queue, ((s, order(lcm)) if by_sugar else order(lcm), (t, new), s))
+            key = (s, order(lcm)) if by_sugar else order(lcm)
+            heappush(queue, (key, (t, new), s, lcm))
 
     for g in ideal.generators:
         enter(g, max(map(sum, g.terms)))
 
     while queue:
-        _, (i, j), sugar = heappop(queue)
+        _, (i, j), sugar, lcm = heappop(queue)
         pairs.discard((i, j))
-        li, lj = basis[i][0], basis[j][0]
-        lcm = _monomial_lcm(li, lj)
-        if lcm == _monomial_add(li, lj):
+        mask_i, mask_j = basis[i].mask, basis[j].mask
+        if not mask_i & mask_j:
             continue  # disjoint leading monomials reduce to zero
+        absent = ~(mask_i | mask_j)  # the lcm's support is the union
         if any(
-            k not in (i, j)
-            and _monomial_divides(lk, lcm)
+            not mk & absent
+            and k not in (i, j)
+            and all(map(le, lk, lcm))
             and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
-            for k, (lk, _) in enumerate(basis)
+            for k, (lk, mk, _, _, _) in enumerate(basis)
         ):
             continue  # chain criterion: a third lead divides the lcm
         h = normal_form(_s_polynomial(basis[i], basis[j]), basis, order)
@@ -266,18 +283,19 @@ def buchberger(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     return GroebnerBasis(ideal.table, order, tuple(_interreduce(basis, order)))
 
 
-def _interreduce(basis: list[LeadPair], order: MonomialOrder) -> list[ExactPolynomial]:
+def _interreduce(basis: list[BasisEntry], order: MonomialOrder) -> list[ExactPolynomial]:
     # Minimalize: drop elements whose leading monomial another one divides.
-    minimal: list[LeadPair] = []
-    for lg, g in sorted(basis, key=lambda item: order(item[0])):
-        if not any(_monomial_divides(lh, lg) for lh, _ in minimal):
-            minimal.append((lg, g))
+    minimal: list[BasisEntry] = []
+    for entry in sorted(basis, key=lambda e: order(e.lead)):
+        absent = ~entry.mask
+        if not any(not e.mask & absent and all(map(le, e.lead, entry.lead)) for e in minimal):
+            minimal.append(entry)
     # Tail-reduce each element against the others.  No other leading
     # monomial divides its own, and a reduction step only adds terms below
     # the one it removes, so the leading term stays, with coefficient 1.
     reduced = [
-        normal_form(g, minimal[:idx] + minimal[idx + 1 :], order)
-        for idx, (_, g) in enumerate(minimal)
+        normal_form(e.element, minimal[:idx] + minimal[idx + 1 :], order)
+        for idx, e in enumerate(minimal)
     ]
     return reduced[::-1]  # largest leading monomial first
 

@@ -84,6 +84,45 @@ def test_cofactor_tracking_random_members():
     assert nonzero > 25
 
 
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, elimination_order(1)], ids=["grevlex", "lex", "eliminate-1"]
+)
+def test_integer_reduction_matches_plain_division(order):
+    """Reduction runs on integer numerators over one denominator and scales
+    the work when a lead's integer coefficient does not divide the term's
+    numerator.  Random bases of non-integer, non-monic elements (not
+    Groebner bases: division by any sequence is defined) make it scale
+    often; ``conftest.divide`` divides over ``Fraction``s, choosing the same
+    first dividing lead, and must leave the same remainder."""
+    rng = random.Random(20261019)
+    table = VariableTable.make([("a", False), ("b", False), ("c", False)])
+    nonzero = 0
+    for _ in range(60):
+        basis, size = [], rng.randint(1, 3)
+        while len(basis) < size:
+            g = rand_polynomial(rng, table, max_terms=3, max_degree=2, height=6)
+            if not g.is_zero and not g.is_constant:
+                basis.append(g)
+        p = rand_polynomial(rng, table, max_terms=5, max_degree=4, height=6)
+        reduced = GroebnerBasis(table, order, tuple(basis)).reduce(p)
+        assert reduced == divide(p, basis, order)[0]
+        assert all(type(c) is Fraction and c for c in reduced.terms.values())
+        nonzero += not reduced.is_zero
+    assert nonzero > 20
+
+
+def test_integer_reduction_fixed_cases():
+    table = VariableTable.make([("x", False), ("y", False)])
+    x, y = table.var("x"), table.var("y")
+    # Each of the three steps divides a numerator by the lead coefficient 2.
+    assert GroebnerBasis(table, GREVLEX, (2 * x - 1,)).reduce(x ** 3) == Fraction(1, 8)
+    # x**4 leaves for the remainder before the steps on y**3 scale the work
+    # and its denominator: dividing it by the final denominator would give
+    # x**4 / 8.
+    gb = GroebnerBasis(table, GREVLEX, (2 * y - 1,))
+    assert gb.reduce(x ** 4 + y ** 3) == x ** 4 + Fraction(1, 8)
+
+
 def test_two_orders_same_ideal():
     gens = (PAIRING, BLOWUP, tau ** 2 - mu * tau)
     a = buchberger(Ideal(ENC, gens), GREVLEX)

@@ -414,10 +414,12 @@ def test_product_agrees_with_reference():
 
 
 def test_trusted_results_match_checked_construction():
-    """Sums, differences, negations, ``scaled`` and ``normal_form``'s
-    remainder skip the constructor's checks.  Each result is what the
-    checking constructor builds from its terms, with only nonzero
-    ``Fraction`` coefficients."""
+    """Sums, differences, negations, ``scaled``, ``normal_form``'s remainder
+    and S-polynomials skip the constructor's checks.  Each result is what
+    the checking constructor builds from its terms, with only nonzero
+    ``Fraction`` coefficients, and each S-polynomial of two random monic
+    elements is also the difference of their checked ``monomial_shifted``
+    shifts up to the lcm of the leads."""
     rng = random.Random(20261021)
     results = []
     for _ in range(100):
@@ -433,7 +435,23 @@ def test_trusted_results_match_checked_construction():
         gb.reduce(rand_polynomial(rng, plain, max_terms=5, max_degree=3)) for _ in range(100)
     ]
     assert sum(not r.is_zero for r in remainders) > 50
-    for r in results + remainders:
+    s_polynomials = []
+    while len(s_polynomials) < 100:
+        f, g = (rand_polynomial(rng, plain, max_terms=4, max_degree=3) for _ in range(2))
+        if f.is_zero or g.is_zero:
+            continue
+        ef, eg = (groebner._entry(p, groebner.GREVLEX) for p in (f, g))
+        lcm = tuple(max(a, b) for a, b in zip(ef.lead, eg.lead))
+        shifted = [
+            e.element.monomial_shifted(tuple(a - b for a, b in zip(lcm, e.lead)))
+            for e in (ef, eg)
+        ]
+        assert all(e.element.terms[e.lead] == 1 for e in (ef, eg))
+        s = groebner._s_polynomial(ef, eg)
+        assert s == shifted[0] - shifted[1]
+        s_polynomials.append(s)
+    assert sum(not s.is_zero for s in s_polynomials) > 50
+    for r in results + remainders + s_polynomials:
         assert all(type(c) is Fraction and c for c in r.terms.values())
         checked = ExactPolynomial(r.table, r.terms)
         assert r == checked and hash(r) == hash(checked)

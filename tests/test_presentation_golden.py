@@ -158,6 +158,21 @@ def test_su2_membership_pair_schedule(pair_schedules, su2_standard):
     assert pair_schedules == [{"spairs": 15, "zero": 9, "basis": 7}]
 
 
+def test_benchmark_batch_schedules(pair_schedules):
+    """Batch 0 of the presentation seeds 1-3, served as the benchmark serves
+    it, summed over every basis computed: S-pairs formed, zero reductions
+    and reduced basis elements.  Counting in-process over fixed batches
+    compares two versions of the engine on the same work, where a traced
+    timed run averages over however many batches fit in its time.  A
+    change to pair selection or to the criteria moves these counts; a
+    change to reduction alone must leave them."""
+    for seed in (1, 2, 3):
+        for request in workloads.presentation_batch(seed, 0):
+            workloads.serve(request)
+    totals = {key: sum(c[key] for c in pair_schedules) for key in ("spairs", "zero", "basis")}
+    assert totals == {"spairs": 2767, "zero": 2064, "basis": 785}
+
+
 if __name__ == "__main__":
     records = []
     for job, text in jobs():
