@@ -8,6 +8,17 @@ numerator over a multiset of declared factors, kept fully reduced by
 iterated exact division.  Monomial units in invertible variables always live
 in the numerator, so an element is a ring element exactly when its
 denominator is empty.
+
+Every declared factor that can stay in a denominator is a prime of the
+Laurent ring (a linear form in non-invertible variables), no two of them
+associates, and a reduced numerator is prime to its own denominator.  So, as
+in Henrici's gcd-free rational arithmetic (Knuth, TAOCP vol. 2, 4.5.1), a
+product can only cancel a factor of one denominator out of the other
+numerator, a sum only a factor both operands carry to the same exponent, and
+powers, negations and inverses cancel nothing.  These paths trial-divide
+only there and build their results through the trusting
+``FactoredFraction._reduced``; the public constructor reduces what it is
+given.
 """
 
 from __future__ import annotations
@@ -155,6 +166,17 @@ class FactoredFraction:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", tuple(sorted(powers.items())))
 
+    @classmethod
+    def _reduced(cls, factors: FactorSet, numerator: ExactPolynomial, denominator):
+        """Wrap a value known to be reduced: positive exponents, no unit-monomial
+        factor, no denominator factor dividing the numerator, and the empty
+        denominator under zero."""
+        frac = object.__new__(cls)
+        object.__setattr__(frac, "factors", factors)
+        object.__setattr__(frac, "numerator", numerator)
+        object.__setattr__(frac, "denominator", tuple(sorted(denominator)))
+        return frac
+
     def __setattr__(self, name, value):
         raise AttributeError("FactoredFraction is immutable")
 
@@ -193,17 +215,29 @@ class FactoredFraction:
         return self.factors.constant(other)
 
     def __add__(self, other) -> "FactoredFraction":
+        """Sum over the lcm of the denominators.
+
+        Where one operand carries a factor to a lower exponent, its term keeps
+        a power of the factor and the other term's numerator is prime to it,
+        so the sum is too; only equal exponents are tried.
+        """
         other = self._coerce(other)
         mine = dict(self.denominator)
         theirs = dict(other.denominator)
         lcm = {i: max(mine.get(i, 0), theirs.get(i, 0)) for i in set(mine) | set(theirs)}
         num = _scaled_numerator(self, lcm, mine) + _scaled_numerator(other, lcm, theirs)
-        return FactoredFraction(self.factors, num, lcm.items())
+        if num.is_zero:
+            return FactoredFraction._reduced(self.factors, num, ())
+        for idx, exp in mine.items():
+            if theirs.get(idx) == exp:
+                num, divided = divide_out(num, self.factors.factors[idx], exp)
+                lcm[idx] -= divided
+        return FactoredFraction._reduced(self.factors, num, ((i, e) for i, e in lcm.items() if e))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FactoredFraction":
-        return FactoredFraction(self.factors, -self.numerator, self.denominator)
+        return FactoredFraction._reduced(self.factors, -self.numerator, self.denominator)
 
     def __sub__(self, other) -> "FactoredFraction":
         return self + (-self._coerce(other))
@@ -212,13 +246,23 @@ class FactoredFraction:
         return (-self) + other
 
     def __mul__(self, other) -> "FactoredFraction":
+        """Product with cross-cancellation.
+
+        A factor in both denominators divides neither numerator, so it
+        cannot divide their product.  A factor in one denominator only is
+        cancelled out of the other operand's numerator before multiplying.
+        """
         other = self._coerce(other)
-        powers: dict[int, int] = dict(self.denominator)
-        for i, e in other.denominator:
-            powers[i] = powers.get(i, 0) + e
         a, b = self.numerator, other.numerator
+        if a.is_zero or b.is_zero:
+            return FactoredFraction._reduced(self.factors, self.table.zero(), ())
+        mine = dict(self.denominator)
+        theirs = dict(other.denominator)
+        powers = {i: e + theirs[i] for i, e in mine.items() if i in theirs}
+        a = _cancel(self.factors, a, theirs, mine, powers)
+        b = _cancel(self.factors, b, mine, theirs, powers)
         num = b if _is_one(a) else a if _is_one(b) else a * b
-        return FactoredFraction(self.factors, num, powers.items())
+        return FactoredFraction._reduced(self.factors, num, powers.items())
 
     __rmul__ = __mul__
 
@@ -244,10 +288,12 @@ class FactoredFraction:
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        # Declared factors are irreducible, so no power of a reduced
-        # numerator gains a factor of the denominator.
+        if exponent == 0:
+            return self.factors.one()
+        # Declared factors are prime, so no power of a reduced numerator
+        # gains a factor of the denominator.
         num = self.numerator
-        return FactoredFraction(
+        return FactoredFraction._reduced(
             self.factors,
             num if _is_one(num) else num ** exponent,
             ((idx, exp * exponent) for idx, exp in self.denominator),
@@ -259,6 +305,11 @@ class FactoredFraction:
         The numerator must decompose as constant * invertible monomial *
         product of declared factors; otherwise the inverse would need a
         denominator outside the multiplicative set.
+
+        The new numerator is a product of the old denominator's factors and
+        the new denominator holds the factors taken out of the old
+        numerator.  A reduced value shares none between the two, so the
+        inverse is reduced.
         """
         if self.is_zero:
             raise ZeroDivisionError("inverting the zero element")
@@ -270,7 +321,7 @@ class FactoredFraction:
         coeff, mono, factor_powers = parts
         num = self.denominator_polynomial()
         num = num.monomial_shifted(tuple(-e for e in mono)).scaled(Fraction(1) / coeff)
-        return FactoredFraction(self.factors, num, factor_powers.items())
+        return FactoredFraction._reduced(self.factors, num, factor_powers.items())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, ExactPolynomial)):
@@ -298,6 +349,26 @@ def _scaled_numerator(
     """Numerator of x over the denominator ``lcm``, a multiple of its own."""
     scale = x.factors.product((i, e - own.get(i, 0)) for i, e in lcm.items())
     return x.numerator if scale is None else x.numerator * scale
+
+
+def _cancel(
+    factors: FactorSet, num: ExactPolynomial, den: dict, own: dict, powers: dict
+) -> ExactPolynomial:
+    """Cancel out of ``num`` each factor of the other operand's denominator
+    ``den`` that its own denominator ``own`` lacks, at most to the factor's
+    exponent, and record what is left of that exponent in ``powers``.
+
+    Stops trying once ``num`` is a unit monomial, which no factor divides.
+    """
+    for idx, exp in den.items():
+        if idx in own:
+            continue
+        if not _is_unit_monomial(num):
+            num, divided = divide_out(num, factors.factors[idx], exp)
+            exp -= divided
+        if exp:
+            powers[idx] = exp
+    return num
 
 
 def _reduce(
@@ -338,6 +409,8 @@ def unit_decompose(
         return None
     extracted: dict[int, int] = {}
     for idx, f in enumerate(factors.factors):
+        if _is_unit_monomial(p):
+            break  # no declared prime divides a unit
         if _is_unit_monomial(f):
             continue  # invertible-monomial content lands in the monomial part
         p, divided = divide_out(p, f)

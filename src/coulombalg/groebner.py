@@ -177,16 +177,22 @@ def normal_form(
 
 def _s_polynomial(f: BasisEntry, g: BasisEntry) -> ExactPolynomial:
     """S-polynomial of two basis entries: each monic element shifted up to
-    the lcm of the two leads, by a shift that is never negative."""
+    the lcm of the two leads, by a shift that is never negative, and the
+    difference formed in one pass over the terms."""
     lcm = tuple(map(max, f.lead, g.lead))
-
-    def shifted(e: BasisEntry) -> ExactPolynomial:
-        shift = tuple(map(sub, lcm, e.lead))
-        return ExactPolynomial._unchecked(
-            e.element.table, {tuple(map(add, m, shift)): c for m, c in e.element.terms.items()}
-        )
-
-    return shifted(f) - shifted(g)
+    shift = tuple(map(sub, lcm, f.lead))
+    terms = {tuple(map(add, m, shift)): c for m, c in f.element.terms.items()}
+    shift = tuple(map(sub, lcm, g.lead))
+    for m, c in g.element.terms.items():
+        mono = tuple(map(add, m, shift))
+        old = terms.get(mono)
+        if old is None:
+            terms[mono] = -c
+        elif old := old - c:
+            terms[mono] = old
+        else:
+            del terms[mono]
+    return ExactPolynomial._unchecked(f.element.table, terms)
 
 
 @dataclass(frozen=True)

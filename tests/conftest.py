@@ -18,6 +18,8 @@ from coulombalg import (
     GroebnerBasis,
     VariableTable,
     ambient_table,
+    coulomb,
+    shmodel,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +37,17 @@ def benchmark_workloads():
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the library's per-ring caches (every ``lru_cache`` of ``coulomb``
+    and ``shmodel``), so that a test counting the work of a request stream
+    counts the same whatever tests ran before it."""
+    for module in (coulomb, shmodel):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
 
 
 @pytest.fixture
@@ -126,6 +139,33 @@ def rand_blowup_element(
         if coeff:
             terms[tuple(mono)] = coeff
     return ExactPolynomial(table, terms)
+
+
+def reference_divide(p, d):
+    """Laurent long division with no certificate: the reference for exact_divide."""
+    p_shift = tuple(e if p.table.laurent[i] else 0 for i, e in enumerate(p.min_exponents()))
+    d_shift = tuple(e if d.table.laurent[i] else 0 for i, e in enumerate(d.min_exponents()))
+    pn = p.monomial_shifted(tuple(-e for e in p_shift))
+    dn = d.monomial_shifted(tuple(-e for e in d_shift))
+    lead_d, coeff_d = dn.leading()
+    remainder = dict(pn.terms)
+    quotient = {}
+    while remainder:
+        mono = max(remainder)
+        q_mono = tuple(a - b for a, b in zip(mono, lead_d))
+        if any(e < 0 for e in q_mono):
+            return None
+        q_coeff = remainder[mono] / coeff_d
+        quotient[q_mono] = q_coeff
+        for m2, c2 in dn.terms.items():
+            target = tuple(a + b for a, b in zip(q_mono, m2))
+            s = remainder.get(target, Fraction(0)) - q_coeff * c2
+            if s:
+                remainder[target] = s
+            else:
+                remainder.pop(target, None)
+    shift_back = tuple(a - b for a, b in zip(p_shift, d_shift))
+    return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
 
 
 def divide(p: ExactPolynomial, basis, order) -> tuple[ExactPolynomial, list[ExactPolynomial]]:

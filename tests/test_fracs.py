@@ -1,6 +1,7 @@
 """Factored fractions over a declared multiplicative set."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,11 +13,13 @@ from coulombalg import (
     ReductionError,
     VariableTable,
     ambient_table,
+    fracs,
     matter_membership,
+    poly,
     same_value,
     unit_decompose,
 )
-from conftest import rand_polynomial
+from conftest import benchmark_workloads, rand_polynomial, reference_divide
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (TABLE.var(n) for n in ("mu", "tau", "z"))
@@ -221,3 +224,160 @@ def test_factor_set_validation():
         FactorSet(TABLE, (mu * tau,))  # not linear
     with pytest.raises(ValueError):
         FactorSet(TABLE, (-tau,))  # not sign-normalized
+
+
+# --- the trusted arithmetic paths -------------------------------------------
+
+
+def raw_operand(rng):
+    """(numerator, denominator) before reduction: a random nonzero polynomial
+    times a random product of declared factors, over random factor powers."""
+    num = TABLE.zero()
+    while num.is_zero:
+        num = rand_polynomial(rng, TABLE, max_terms=3, max_degree=1, height=6)
+    for f in FS.factors:
+        num = num * f ** rng.choice((0, 0, 1, 2))
+    return num, [(i, rng.randint(0, 2)) for i in range(len(FS))]
+
+
+def raw_polynomial(den):
+    return FS.product(den) or TABLE.one()
+
+
+def merged(*dens):
+    return [pair for den in dens for pair in den]
+
+
+def total(den):
+    return sum(e for _, e in den)
+
+
+def assert_reduced(x):
+    """Positive exponents in index order, no unit factor, and no denominator
+    factor dividing the numerator, by long division that shares no code with
+    ``fracs``; zero has the empty denominator."""
+    indices = [i for i, _ in x.denominator]
+    assert indices == sorted(set(indices)) and all(e > 0 for _, e in x.denominator)
+    assert idx(z) not in indices
+    if x.is_zero:
+        assert x.denominator == ()
+    for i, _ in x.denominator:
+        assert reference_divide(x.numerator, FS.factors[i]) is None
+
+
+def assert_matches(result, num, den):
+    """``result`` is ``num / den`` as the public constructor reduces it."""
+    expected = FactoredFraction(FS, num, den)
+    assert result == expected and hash(result) == hash(expected)
+    assert same_value(result, FactoredFraction._reduced(FS, num, den))
+    assert_reduced(result)
+
+
+def test_trusted_paths_match_full_reduction(monkeypatch):
+    """+, -, * and ** on reduced operands give what reducing the unreduced
+    result from scratch gives, with only the trial divisions the
+    coprimality rules allow: one per cancellation, plus at most one failure
+    per factor both sum operands carry to the same exponent, or per product
+    factor carried by one denominator only.  Zero operands and sums that
+    cancel to zero are among the 200 pairs."""
+    trials = 0
+    divide = poly.exact_divide
+
+    def counted(p, d):
+        nonlocal trials
+        trials += 1
+        return divide(p, d)
+
+    monkeypatch.setattr(poly, "exact_divide", counted)
+    rng = random.Random(29)
+    cancelling_products = cancelling_sums = 0
+    for k in range(200):
+        na, da = raw_operand(rng)
+        if k % 10 == 1:  # the sum cancels to zero
+            nb, db = -na, da
+        elif k % 3 == 0:  # the sum is x = nx / dx, often with a smaller denominator
+            nx, dx = raw_operand(rng)
+            if k % 2:
+                dx = []
+            nb = nx * raw_polynomial(da) - na * raw_polynomial(dx)
+            db = merged(da, dx)
+        else:
+            nb, db = raw_operand(rng)
+        if k % 25 == 2:
+            na = TABLE.zero()
+        if k % 25 == 7:
+            nb = TABLE.zero()
+        a, b = FactoredFraction(FS, na, da), FactoredFraction(FS, nb, db)
+        assert_reduced(a)
+        assert_reduced(b)
+        pa, pb = raw_polynomial(da), raw_polynomial(db)
+        mine, theirs = dict(a.denominator), dict(b.denominator)
+
+        trials = 0
+        total_sum = a + b
+        lcm = {i: max(mine.get(i, 0), theirs.get(i, 0)) for i in set(mine) | set(theirs)}
+        cancelled = total(lcm.items()) - total(total_sum.denominator)
+        equal = sum(1 for i, e in mine.items() if theirs.get(i) == e)
+        assert trials <= cancelled + equal
+        assert_matches(total_sum, na * pb + nb * pa, merged(da, db))
+        cancelling_sums += cancelled > 0 and not total_sum.is_zero
+        if k % 10 == 1:
+            assert total_sum.is_zero and total_sum.denominator == ()
+
+        assert_matches(a - b, na * pb - nb * pa, merged(da, db))
+
+        trials = 0
+        product = a * b
+        cancelled = total(a.denominator) + total(b.denominator) - total(product.denominator)
+        assert trials <= cancelled + len(set(mine) ^ set(theirs))
+        assert_matches(product, na * nb, merged(da, db))
+        cancelling_products += cancelled > 0
+
+        for n in range(4):
+            assert_matches(a ** n, na ** n, [(i, e * n) for i, e in da])
+
+    assert cancelling_products >= 50
+    assert cancelling_sums >= 20
+
+
+def test_trusted_inverse_matches_full_reduction():
+    """The inverse of c * z^m * (factor powers) / den, against reducing
+    den / (c * z^m * factor powers) from scratch."""
+    rng = random.Random(31)
+    for _ in range(200):
+        coeff = rng.choice((1, -2, Fraction(3, 4)))
+        shift = rng.randint(-2, 2)
+        powers = [(i, rng.randint(0, 2)) for i in range(3)]
+        den = [(i, rng.randint(0, 2)) for i in range(len(FS))]
+        num = (z ** shift).scaled(coeff) * raw_polynomial(powers)
+        x = FactoredFraction(FS, num, den)
+        inverse = x.inverse()
+        unreduced = raw_polynomial(den) * (z ** -shift).scaled(1 / Fraction(coeff))
+        assert_matches(inverse, unreduced, powers)
+        assert x * inverse == FS.one()
+
+
+def test_trial_division_counts(monkeypatch, fresh_caches):
+    """exact_divide calls and failures over 40 seed-1 abelian-query requests
+    and 18 su2-chart requests, served on empty caches.  Before products
+    cancelled only across operands and sums tried only factors carried to
+    equal exponents, the same requests made 3,490 calls, 3,063 of which
+    failed; 427 succeed either way, one per cancelled factor."""
+    workloads = benchmark_workloads()
+    calls = failures = 0
+    divide = poly.exact_divide
+
+    def counted(p, d):
+        nonlocal calls, failures
+        calls += 1
+        q = divide(p, d)
+        failures += q is None
+        return q
+
+    requests = next(workloads.abelian_rounds(1, 108))[:40]
+    requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
+    monkeypatch.setattr(poly, "exact_divide", counted)
+    monkeypatch.setattr(fracs, "exact_divide", counted)
+    for req in requests:
+        workloads.serve(req)
+    assert (calls, failures) == (1387, 960)

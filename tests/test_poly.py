@@ -8,7 +8,7 @@ import pytest
 
 from coulombalg import ExactPolynomial, VariableTable, exact_divide, groebner, poly
 from coulombalg.poly import divide_out
-from conftest import benchmark_workloads, rand_polynomial
+from conftest import benchmark_workloads, rand_polynomial, reference_divide
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("u", False), ("z", True)])
 mu, tau, u, z = (TABLE.var(n) for n in ("mu", "tau", "u", "z"))
@@ -190,33 +190,6 @@ def certificate(p, d):
     return poly._value_on_zero_set(dividend, primitive, p.table.laurent)
 
 
-def reference_divide(p, d):
-    """Laurent long division with no certificate: the reference for exact_divide."""
-    p_shift = tuple(e if p.table.laurent[i] else 0 for i, e in enumerate(p.min_exponents()))
-    d_shift = tuple(e if d.table.laurent[i] else 0 for i, e in enumerate(d.min_exponents()))
-    pn = p.monomial_shifted(tuple(-e for e in p_shift))
-    dn = d.monomial_shifted(tuple(-e for e in d_shift))
-    lead_d, coeff_d = dn.leading()
-    remainder = dict(pn.terms)
-    quotient = {}
-    while remainder:
-        mono = max(remainder)
-        q_mono = tuple(a - b for a, b in zip(mono, lead_d))
-        if any(e < 0 for e in q_mono):
-            return None
-        q_coeff = remainder[mono] / coeff_d
-        quotient[q_mono] = q_coeff
-        for m2, c2 in dn.terms.items():
-            target = tuple(a + b for a, b in zip(q_mono, m2))
-            s = remainder.get(target, Fraction(0)) - q_coeff * c2
-            if s:
-                remainder[target] = s
-            else:
-                remainder.pop(target, None)
-    shift_back = tuple(a - b for a, b in zip(p_shift, d_shift))
-    return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
-
-
 def rand_divisor(rng):
     """A single variable, z - 1, or a linear form with coefficients in [-2, 2]."""
     kind = rng.randrange(4)
@@ -314,10 +287,11 @@ def test_certificate_declines(p, d, quotient):
     assert exact_divide(p, d) == quotient == reference_divide(p, d)
 
 
-def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch):
+def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch, fresh_caches):
     """Every failed division is decided before long division, and no
-    succeeding one is, over 40 seed-1 abelian-query requests, 18 su2-chart
-    requests and one tiny presentation batch."""
+    succeeding one is, over the 108 requests of the first seed-1
+    abelian-query round, 18 su2-chart requests and one tiny presentation
+    batch, served on empty caches."""
     workloads = benchmark_workloads()
     certify = poly._value_on_zero_set
     decided = misses = false_alarms = 0
@@ -334,7 +308,7 @@ def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch):
         return value
 
     monkeypatch.setattr(poly, "_value_on_zero_set", counted)
-    requests = next(workloads.abelian_rounds(1, 108))[:40]
+    requests = next(workloads.abelian_rounds(1, 108))
     requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
     requests += workloads.presentation_batch(1, 0, tiny=True)
     for req in requests:

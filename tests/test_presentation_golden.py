@@ -158,9 +158,9 @@ def test_su2_membership_pair_schedule(pair_schedules, su2_standard):
     assert pair_schedules == [{"spairs": 15, "zero": 9, "basis": 7}]
 
 
-def test_benchmark_batch_schedules(pair_schedules):
+def test_benchmark_batch_schedules(pair_schedules, fresh_caches):
     """Batch 0 of the presentation seeds 1-3, served as the benchmark serves
-    it, summed over every basis computed: S-pairs formed, zero reductions
+    it on empty caches, summed over every basis computed: S-pairs formed, zero reductions
     and reduced basis elements.  Counting in-process over fixed batches
     compares two versions of the engine on the same work, where a traced
     timed run averages over however many batches fit in its time.  A
