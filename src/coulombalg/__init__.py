@@ -56,7 +56,7 @@ from .groebner import (
     subalgebra_membership,
 )
 from .morphisms import RingMorphism, identity_morphism
-from .parsing import parse_ast, parse_expression
+from .parsing import parse_expression
 from .poly import ExactPolynomial, VariableTable, exact_divide
 from .printing import format_element, format_fraction, format_polynomial
 from .problems import (

@@ -220,7 +220,9 @@ def euler_section(problem: CoulombProblem, target: WeightFormRing) -> SectionSpe
         unit = [int(j == i) for j in range(problem.rank)]
         num, den = _sector_factors(problem, target, unit)
         numerator = target.factors.product(num.items()) or target.table.one()
-        entry = FactoredFraction(target.factors, numerator, den.items())
+        # The numerator and denominator forms are disjoint, and distinct
+        # forms are distinct primes, so the entry is already reduced.
+        entry = FactoredFraction._reduced(target.factors, numerator, den.items())
         entries.append((z_names[i], entry))
     return SectionSpec(problem, side, target.factors, tuple(entries))
 

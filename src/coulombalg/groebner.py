@@ -130,8 +130,11 @@ def normal_form(
     step only adds terms below the one it removes.  A lead whose stored
     support mask has a bit that the term's lacks cannot divide the term and
     is skipped untested, so the first dividing lead is the same one.
+
+    ``p`` must be plain (no negative exponent); ``GroebnerBasis.reduce``
+    checks what enters from outside, and S-polynomials of plain elements
+    are plain.
     """
-    _require_plain(p)
     keys: dict[Monomial, tuple] = {}
 
     def key(mono: Monomial) -> tuple:
@@ -214,6 +217,7 @@ class GroebnerBasis:
     basis: tuple[ExactPolynomial, ...]
 
     def reduce(self, p: ExactPolynomial) -> ExactPolynomial:
+        _require_plain(p)
         return normal_form(p, [_entry(g, self.order) for g in self.basis], self.order)
 
     def contains(self, p: ExactPolynomial) -> bool:

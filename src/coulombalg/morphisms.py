@@ -4,16 +4,17 @@ A morphism sends every variable of a source table to a ``FactoredFraction``
 over a target localized ring.  Applying it to a polynomial or fraction
 evaluates the unique ring-homomorphism extension.  Images of invertible
 (Laurent) variables must themselves be units of the target localization so
-that negative exponents can be mapped.
+that negative exponents can be mapped; each is inverted once, when the
+morphism is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import MorphismError, ReductionError
-from .fracs import FactoredFraction, FactorSet, unit_decompose
+from .fracs import FactoredFraction, FactorSet
 from .poly import ExactPolynomial, VariableTable
 
 
@@ -25,6 +26,9 @@ class RingMorphism:
     target: FactorSet
     images: Mapping[str, FactoredFraction]
 
+    # Inverse of each invertible variable's image, keyed by source position.
+    _inverses: dict[int, FactoredFraction] = field(init=False, compare=False, repr=False)
+
     def __post_init__(self):
         imgs = dict(self.images)
         for name in self.source.names:
@@ -35,6 +39,7 @@ class RingMorphism:
                 imgs[name] = img
             if img.factors != self.target:
                 raise MorphismError(f"image of {name!r} lives over a different ring")
+        inverses = {}
         for pos, name in enumerate(self.source.names):
             if self.source.laurent[pos]:
                 img = imgs[name]
@@ -42,11 +47,14 @@ class RingMorphism:
                     raise MorphismError(
                         f"invertible variable {name!r} mapped to zero"
                     )
-                if unit_decompose(self.target, img.numerator) is None:
+                try:
+                    inverses[pos] = img.inverse()
+                except ReductionError:
                     raise MorphismError(
                         f"image of invertible variable {name!r} is not a unit"
-                    )
+                    ) from None
         object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_inverses", inverses)
 
     def __call__(self, element) -> FactoredFraction:
         if isinstance(element, ExactPolynomial):
@@ -63,7 +71,10 @@ class RingMorphism:
         def var_power(pos: int, exp: int) -> FactoredFraction:
             key = (pos, exp)
             if key not in cache:
-                cache[key] = self.images[self.source.names[pos]] ** exp
+                if exp > 0:
+                    cache[key] = self.images[self.source.names[pos]] ** exp
+                else:
+                    cache[key] = self._inverses[pos] ** -exp
             return cache[key]
 
         total = self.target.zero()

@@ -1,4 +1,4 @@
-"""Expression parser: text -> AST -> exact localized element.
+"""Expression parser: text -> exact localized element, evaluated as it is read.
 
 Grammar (standard precedence, ^ binds tightest, then unary minus, then
 * and / left-associatively, then + and -):
@@ -15,69 +15,24 @@ Exponents must be integer literals of absolute value at most
 power, and no integer literal may have more than ``MAX_LITERAL_DIGITS``
 digits.  Division is resolved against the declared multiplicative set: the
 divisor must be a unit of the localization or divide the numerator exactly.
+
+Each grammar rule returns the value of the text it read, left operand
+before right; there is no syntax tree.  A text with several faults thus
+reports the first in reading order (``1/(z+tau) +`` fails on its
+denominator, not on the dangling ``+``), but a character outside the token
+set comes first wherever it stands: the text is tokenized whole.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import ExpressionError, ReductionError
 from .fracs import FactoredFraction, FactorSet
 
 MAX_EXPONENT = 64
 MAX_LITERAL_DIGITS = 1000
-
-# --- AST -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[Lit, Var, Add, Sub, Mul, Div, Neg, Pow]
 
 # --- Tokenizer ---------------------------------------------------------------
 
@@ -113,8 +68,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, factors: FactorSet):
         self.text = text
+        self.factors = factors
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -131,43 +87,57 @@ class _Parser:
         if tok.kind != "op" or tok.text != op:
             raise ExpressionError(f"expected {op!r} at position {tok.pos} in {self.text!r}")
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> FactoredFraction:
+        value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionError(f"unexpected {tok.text!r} at position {tok.pos} in {self.text!r}")
-        return node
+        return value
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> FactoredFraction:
+        value = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> FactoredFraction:
+        value = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
             rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            if op == "*":
+                value = value * rhs
+            elif rhs.is_zero:
+                raise ExpressionError("division by zero")
+            else:
+                try:
+                    value = value / rhs
+                except ReductionError as exc:
+                    raise ExpressionError(str(exc)) from None
+        return value
 
-    def unary(self) -> Node:
+    def unary(self) -> FactoredFraction:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
+            return -self.unary()
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> FactoredFraction:
         base = self.atom()
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
+        if tok.kind != "op" or tok.text != "^":
+            return base
+        self.advance()
+        exponent = self.exponent()
+        if exponent < 0 and base.is_zero:
+            raise ExpressionError("negative power of zero")
+        try:
+            return base ** exponent
+        except ReductionError as exc:
+            raise ExpressionError(str(exc)) from None
 
     def exponent(self) -> int:
         tok = self.peek()
@@ -197,7 +167,7 @@ class _Parser:
             )
         return sign * int(tok.text)
 
-    def atom(self) -> Node:
+    def atom(self) -> FactoredFraction:
         tok = self.advance()
         if tok.kind == "int":
             # Checked before int(), which refuses very long digit strings.
@@ -206,56 +176,19 @@ class _Parser:
                     f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
                     f"(position {tok.pos})"
                 )
-            return Lit(int(tok.text))
+            return self.factors.constant(int(tok.text))
         if tok.kind == "ident":
-            return Var(tok.text)
+            try:
+                return self.factors.var(tok.text)
+            except KeyError:
+                raise ExpressionError(f"unknown variable {tok.text!r}") from None
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            value = self.expr()
             self.expect_op(")")
-            return node
+            return value
         raise ExpressionError(f"unexpected {tok.text!r} at position {tok.pos} in {self.text!r}")
-
-
-def parse_ast(text: str) -> Node:
-    return _Parser(text).parse()
-
-
-def evaluate(node: Node, factors: FactorSet) -> FactoredFraction:
-    if isinstance(node, Lit):
-        return factors.constant(node.value)
-    if isinstance(node, Var):
-        try:
-            return factors.var(node.name)
-        except KeyError:
-            raise ExpressionError(f"unknown variable {node.name!r}") from None
-    if isinstance(node, Add):
-        return evaluate(node.left, factors) + evaluate(node.right, factors)
-    if isinstance(node, Sub):
-        return evaluate(node.left, factors) - evaluate(node.right, factors)
-    if isinstance(node, Mul):
-        return evaluate(node.left, factors) * evaluate(node.right, factors)
-    if isinstance(node, Div):
-        lhs = evaluate(node.left, factors)
-        rhs = evaluate(node.right, factors)
-        if rhs.is_zero:
-            raise ExpressionError("division by zero")
-        try:
-            return lhs / rhs
-        except ReductionError as exc:
-            raise ExpressionError(str(exc)) from None
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, factors)
-    if isinstance(node, Pow):
-        base = evaluate(node.base, factors)
-        if node.exponent < 0 and base.is_zero:
-            raise ExpressionError("negative power of zero")
-        try:
-            return base ** node.exponent
-        except ReductionError as exc:
-            raise ExpressionError(str(exc)) from None
-    raise TypeError(f"unknown AST node {node!r}")
 
 
 def parse_expression(text: str, factors: FactorSet) -> FactoredFraction:
     """Parse and evaluate an expression over a localized ring."""
-    return evaluate(parse_ast(text), factors)
+    return _Parser(text, factors).parse()

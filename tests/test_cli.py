@@ -55,6 +55,12 @@ def test_input_errors_exit_2(capsys, u1_file, tmp_path):
     assert code == 2
 
 
+def test_two_fault_expression_exits_2(capsys, u1_file):
+    code, out, err = run(capsys, "membership", "--problem", u1_file, "--expr", "1/(z+tau) +")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "multiplicative" in err
+
+
 @pytest.mark.parametrize("expr, accepted", [
     ("mu^64", True), ("z^-64", True), ("mu^65", False), ("z^-65", False),
 ])

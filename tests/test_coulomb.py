@@ -228,6 +228,13 @@ def test_incompatible_section_raises(su2_standard):
         translate_by_section(ring, bad)
 
 
+def test_section_entry_must_be_unit(u1_pm1):
+    ring = u1_pm1
+    non_unit = ring.fraction(ring.mu() + ring.tau(0) + 1)
+    with pytest.raises(AlgebraError, match="section entry z is not a unit"):
+        SectionSpec(ring.problem, "tau", ring.factors, (("z", non_unit),))
+
+
 # --- membership ------------------------------------------------------------------
 
 

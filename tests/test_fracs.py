@@ -362,7 +362,9 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     and 18 su2-chart requests, served on empty caches.  Before products
     cancelled only across operands and sums tried only factors carried to
     equal exponents, the same requests made 3,490 calls, 3,063 of which
-    failed; 427 succeed either way, one per cancelled factor."""
+    failed.  Before each morphism inverted its unit images once, when built,
+    and Euler-section entries skipped the full reduction, they made 1,387
+    calls, 960 of which failed."""
     workloads = benchmark_workloads()
     calls = failures = 0
     divide = poly.exact_divide
@@ -380,4 +382,4 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     monkeypatch.setattr(fracs, "exact_divide", counted)
     for req in requests:
         workloads.serve(req)
-    assert (calls, failures) == (1387, 960)
+    assert (calls, failures) == (1044, 717)

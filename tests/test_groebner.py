@@ -181,6 +181,14 @@ def test_laurent_exponents_rejected():
         Ideal(lt, (lt.var("z") ** -1,))
 
 
+def test_reduce_rejects_laurent_input():
+    lt = VariableTable.make([("z", True)])
+    gb = buchberger(Ideal(lt, (lt.var("z") - 1,)), GREVLEX)
+    assert gb.reduce(lt.var("z") ** 2).is_constant
+    with pytest.raises(ValueError, match="Laurent exponents"):
+        gb.reduce(lt.var("z") ** -1 + 1)
+
+
 # --- kernels ----------------------------------------------------------------
 
 SRC = VariableTable.make([("mu", False), ("tau", False), ("z", True)])

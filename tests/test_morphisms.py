@@ -69,6 +69,13 @@ def test_laurent_image_must_be_unit():
         RingMorphism(SRC, FS, {"z": FS.from_polynomial(z - 1)})
 
 
+def test_laurent_image_errors_name_the_fault():
+    with pytest.raises(MorphismError, match="invertible variable 'z' mapped to zero"):
+        RingMorphism(SRC, FS, {"z": FS.zero()})
+    with pytest.raises(MorphismError, match="image of invertible variable 'z' is not a unit"):
+        RingMorphism(SRC, FS, {"z": FS.from_polynomial(mu + 2 * tau)})
+
+
 def test_denominator_factor_must_stay_in_set():
     # tau -> z - 1 cannot transport a 1/tau denominator
     m = RingMorphism(SRC, FS, {"tau": FS.from_polynomial(z - 1)})

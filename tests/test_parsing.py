@@ -6,6 +6,8 @@ import pytest
 
 from coulombalg import (
     ExpressionError,
+    ambient_table,
+    parse_problem_text,
     FactoredFraction,
     FactorSet,
     VariableTable,
@@ -15,7 +17,7 @@ from coulombalg import (
     parse_expression,
 )
 from coulombalg.parsing import MAX_LITERAL_DIGITS
-from conftest import rand_polynomial
+from conftest import benchmark_workloads, rand_polynomial
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (TABLE.var(n) for n in ("mu", "tau", "z"))
@@ -121,3 +123,55 @@ def test_roundtrip_random_elements():
         text = format_element(f)
         assert parse_expression(text, FS) == f
         done += 1
+
+
+def test_faults_are_reported_in_reading_order():
+    with pytest.raises(ExpressionError, match="multiplicative set"):
+        parse_expression("1/(z + tau) +", FS)
+    with pytest.raises(ExpressionError, match="unknown variable 'q'"):
+        parse_expression("q^tau", FS)
+    with pytest.raises(ExpressionError, match="unexpected ''"):
+        parse_expression("1/(mu + tau) +", FS)
+    with pytest.raises(ExpressionError, match="unexpected character '\\$'"):
+        parse_expression("1/(z + tau) $", FS)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One truncation, deletion, insertion, replacement or swap."""
+    i = rng.randrange(len(text))
+    choice = rng.randrange(5)
+    if choice == 0:
+        return text[:i]
+    if choice == 1:
+        return text[:i] + text[i + 1:]
+    c = rng.choice("+-*/^()0129zu $")
+    if choice == 2:
+        return text[:i] + c + text[i:]
+    if choice == 3:
+        return text[:i] + c + text[i + 1:]
+    return text[:i] + text[i + 1:i + 2] + text[i] + text[i + 2:]
+
+
+def test_fuzz_benchmark_expressions():
+    """Mutated and truncated benchmark expression texts either raise
+    ExpressionError or give a value that round-trips through its printed
+    form."""
+    workloads = benchmark_workloads()
+    requests = next(workloads.abelian_rounds(1, 108))
+    requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
+    rings = {}
+    rng = random.Random(1515)
+    accepted = rejected = 0
+    for _ in range(600):
+        req = rng.choice(requests)
+        if req.problem not in rings:
+            rings[req.problem] = ambient_table(parse_problem_text(req.problem).problem()).factors
+        factors = rings[req.problem]
+        try:
+            value = parse_expression(_mutate(rng, req.expr), factors)
+        except ExpressionError:
+            rejected += 1
+            continue
+        assert parse_expression(format_element(value), factors) == value
+        accepted += 1
+    assert accepted > 100 and rejected > 100
