@@ -18,7 +18,9 @@ numerator, a sum only a factor both operands carry to the same exponent, and
 powers, negations and inverses cancel nothing.  These paths trial-divide
 only there and build their results through the trusting
 ``FactoredFraction._reduced``; the public constructor reduces what it is
-given.
+given.  A linear form's degree in each of its variables adds under
+products, so the factor loops also skip a form with a variable the dividend
+lacks.
 """
 
 from __future__ import annotations
@@ -358,13 +360,16 @@ def _cancel(
     ``den`` that its own denominator ``own`` lacks, at most to the factor's
     exponent, and record what is left of that exponent in ``powers``.
 
-    Stops trying once ``num`` is a unit monomial, which no factor divides.
+    Stops trying once ``num`` is a unit monomial, which no factor divides,
+    and skips each factor with a variable that ``num`` lacks.
     """
+    support = num.used_indices()
     for idx, exp in den.items():
         if idx in own:
             continue
-        if not _is_unit_monomial(num):
-            num, divided = divide_out(num, factors.factors[idx], exp)
+        f = factors.factors[idx]
+        if not _is_unit_monomial(num) and f.used_indices() <= support:
+            num, divided = divide_out(num, f, exp)
             exp -= divided
         if exp:
             powers[idx] = exp
@@ -397,29 +402,38 @@ def _reduce(
     return num, out
 
 
-def unit_decompose(
+def factor_decompose(
     factors: FactorSet, p: ExactPolynomial
-) -> Optional[tuple[Fraction, Monomial, dict[int, int]]]:
-    """Write p as coefficient * monomial * product of declared factor powers.
-
-    Returns None when the residue after extracting all declared factors is
-    not a single invertible term.
-    """
-    if p.is_zero:
-        return None
+) -> tuple[Fraction, Monomial, dict[int, int], Optional[ExactPolynomial]]:
+    """Write a nonzero p as coefficient * monomial * declared factor powers *
+    residue.  The residue is what is left once every declared factor is
+    extracted, or None when that is a single invertible term, whose
+    coefficient and monomial come first (else both are one)."""
     extracted: dict[int, int] = {}
+    support = p.used_indices()
     for idx, f in enumerate(factors.factors):
         if _is_unit_monomial(p):
             break  # no declared prime divides a unit
         if _is_unit_monomial(f):
             continue  # invertible-monomial content lands in the monomial part
-        p, divided = divide_out(p, f)
-        if divided:
-            extracted[idx] = divided
+        if f.used_indices() <= support:
+            p, divided = divide_out(p, f)
+            if divided:
+                extracted[idx] = divided
+                support = p.used_indices()
     if not _is_unit_monomial(p):
-        return None
+        return Fraction(1), p.table.unit_monomial(), extracted, p
     (mono, coeff), = p.terms.items()
-    return coeff, mono, extracted
+    return coeff, mono, extracted, None
+
+
+def unit_decompose(
+    factors: FactorSet, p: ExactPolynomial
+) -> Optional[tuple[Fraction, Monomial, dict[int, int]]]:
+    """Write p as coefficient * monomial * product of declared factor powers,
+    or return None when p is zero or leaves a residue (``factor_decompose``)."""
+    parts = None if p.is_zero else factor_decompose(factors, p)
+    return None if parts is None or parts[3] is not None else parts[:3]
 
 
 def same_value(a: FactoredFraction, b: FactoredFraction) -> bool:

@@ -168,6 +168,31 @@ def reference_divide(p, d):
     return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
 
 
+def reference_apply(morphism, p: ExactPolynomial):
+    """Image of ``p`` under ``morphism``, term by term: each variable power
+    through ``FactoredFraction`` powers and products (negative powers through
+    ``inverse``), and the terms added one at a time.
+
+    Written out here as a second route: it never reads the morphism's
+    factored images.
+    """
+    cache = {}
+
+    def var_power(pos: int, exp: int):
+        if (pos, exp) not in cache:
+            cache[pos, exp] = morphism.images[morphism.source.names[pos]] ** exp
+        return cache[pos, exp]
+
+    total = morphism.target.zero()
+    for mono, coeff in sorted(p.terms.items()):
+        term = morphism.target.constant(coeff)
+        for pos, exp in enumerate(mono):
+            if exp:
+                term = term * var_power(pos, exp)
+        total = total + term
+    return total
+
+
 def divide(p: ExactPolynomial, basis, order) -> tuple[ExactPolynomial, list[ExactPolynomial]]:
     """Plain multivariate division of ``p`` by the polynomials ``basis``.
 

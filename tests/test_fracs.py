@@ -364,7 +364,9 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     equal exponents, the same requests made 3,490 calls, 3,063 of which
     failed.  Before each morphism inverted its unit images once, when built,
     and Euler-section entries skipped the full reduction, they made 1,387
-    calls, 960 of which failed."""
+    calls, 960 of which failed.  Before morphisms applied their images in
+    factored form and the factor loops skipped forms with a variable the
+    dividend lacks, they made 1,044 calls, 717 of which failed."""
     workloads = benchmark_workloads()
     calls = failures = 0
     divide = poly.exact_divide
@@ -382,4 +384,4 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     monkeypatch.setattr(fracs, "exact_divide", counted)
     for req in requests:
         workloads.serve(req)
-    assert (calls, failures) == (1044, 717)
+    assert (calls, failures) == (905, 555)

@@ -10,9 +10,14 @@ from coulombalg import (
     MorphismError,
     RingMorphism,
     VariableTable,
+    coulomb,
     identity_morphism,
+    poly,
+    same_value,
+    shmodel,
 )
-from conftest import rand_polynomial
+from coulombalg.fracs import factor_decompose
+from conftest import benchmark_workloads, rand_polynomial, reference_apply
 
 SRC = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (SRC.var(n) for n in ("mu", "tau", "z"))
@@ -91,3 +96,85 @@ def test_composition():
     both = flip.then(flip)
     p = z * (mu - tau) + z ** -1 * tau
     assert both(p) == FS.from_polynomial(p)
+
+
+def counted_divisors(monkeypatch) -> list:
+    """Record the divisor of every ``poly.exact_divide`` call from now on."""
+    divisors = []
+    divide = poly.exact_divide
+
+    def counted(p, d):
+        divisors.append(d)
+        return divide(p, d)
+
+    monkeypatch.setattr(poly, "exact_divide", counted)
+    return divisors
+
+
+def test_single_top_term_makes_no_trial_division(monkeypatch):
+    # z -> z (mu+tau)/(mu-tau) on z^2 + z: only z^2 reaches (mu-tau)^2, so
+    # the sum is prime to mu - tau without a trial.
+    scale = FactoredFraction(FS, mu + tau, ((FS.index_of(mu - tau), 1),))
+    m = RingMorphism(SRC, FS, {"z": FS.var("z") * scale})
+    divisors = counted_divisors(monkeypatch)
+    image = m(z ** 2 + z)
+    assert divisors == []
+    assert image.denominator == ((FS.index_of(mu - tau), 2),)
+    assert image == reference_apply(m, z ** 2 + z)
+
+
+def test_two_top_terms_that_cancel_the_factor_come_out_reduced(monkeypatch):
+    # z -> z/(mu-tau) on mu z - tau z: both terms reach (mu-tau)^1, and
+    # their sum is (mu - tau) z / (mu - tau) = z.
+    m = RingMorphism(SRC, FS, {"z": FactoredFraction(FS, z, ((FS.index_of(mu - tau), 1),))})
+    divisors = counted_divisors(monkeypatch)
+    image = m(mu * z - tau * z)
+    assert divisors == [mu - tau]
+    assert image == FS.var("z") and image.denominator == ()
+
+
+def test_residue_image_inside_a_sum(su2_standard):
+    ring = su2_standard
+    u, zz, t = ring.u(0), ring.z(0), ring.tau(0)
+    p = u ** 2 * zz - 3 * u * t + zz ** -1 + 2 * u
+    for m in (coulomb.expansion_morphism(ring), coulomb.euler_translation(ring)):
+        image_of_u = m.images[ring.u_names[0]]
+        assert factor_decompose(ring.factors, image_of_u.numerator)[3] is not None
+        image, expected = m(p), reference_apply(m, p)
+        assert image == expected and same_value(image, expected)
+
+
+def test_term_through_zero_image_drops():
+    zimg = FactoredFraction(FS, z, ((FS.index_of(mu - tau), 1),))
+    m = RingMorphism(SRC, FS, {"tau": FS.zero(), "z": zimg})
+    # The only term with a denominator drops, and with it the denominator.
+    assert m(tau * z + mu) == FS.from_polynomial(mu)
+    assert m(tau * (mu + tau)) == FS.zero()
+    assert m(tau * z ** 2 + mu * z) == reference_apply(m, tau * z ** 2 + mu * z)
+
+
+def test_factored_route_matches_reference_on_query_workloads(monkeypatch, fresh_caches):
+    """Every polynomial a morphism applies over the first seed-1 round of each
+    query workload, checked against the term-by-term route."""
+    workloads = benchmark_workloads()
+    apply = RingMorphism.apply_polynomial
+    checked = {}
+
+    def compared(self, p):
+        value, expected = apply(self, p), reference_apply(self, p)
+        assert value == expected and same_value(value, expected)
+        checked[id(self)] = self
+        return value
+
+    monkeypatch.setattr(RingMorphism, "apply_polynomial", compared)
+    requests = next(workloads.abelian_rounds(1, 108))
+    requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 108))
+    rings = {workloads.serve(req).ring for req in requests}
+    kinds = {
+        "section map": [shmodel.section_homomorphism_map(r) for r in rings],
+        "Euler translation": [coulomb.euler_translation(r) for r in rings],
+        "expansion": [coulomb.expansion_morphism(r) for r in rings],
+        "Weyl": [w for r in rings for w in coulomb.weyl_group(r)[1:]],
+    }
+    for kind, morphisms in kinds.items():
+        assert any(id(m) in checked for m in morphisms), kind
