@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import AlgebraError, MorphismError, ProblemError
-from .fracs import FactoredFraction, FactorSet
+from .fracs import FactoredFraction, FactorSet, factored_sum
 from .groebner import (
     GREVLEX,
     Ideal,
@@ -285,10 +285,7 @@ def reynolds(ring: AmbientRing, f: Element) -> FactoredFraction:
 def _weyl_average(ring: AmbientRing, value: FactoredFraction) -> FactoredFraction:
     """Weyl average of a value that is already expanded."""
     group = weyl_group(ring)
-    total = ring.factors.zero()
-    for w in group:
-        total = total + w(value)
-    return total * Fraction(1, len(group))
+    return factored_sum(ring.factors, (w(value) for w in group)) * Fraction(1, len(group))
 
 
 def is_weyl_invariant(ring: AmbientRing, f: Element) -> bool:

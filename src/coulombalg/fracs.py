@@ -14,19 +14,19 @@ Laurent ring (a linear form in non-invertible variables), no two of them
 associates, and a reduced numerator is prime to its own denominator.  So, as
 in Henrici's gcd-free rational arithmetic (Knuth, TAOCP vol. 2, 4.5.1), a
 product can only cancel a factor of one denominator out of the other
-numerator, a sum only a factor both operands carry to the same exponent, and
-powers, negations and inverses cancel nothing.  These paths trial-divide
-only there and build their results through the trusting
-``FactoredFraction._reduced``; the public constructor reduces what it is
-given.  A linear form's degree in each of its variables adds under
-products, so the factor loops also skip a form with a variable the dividend
-lacks.
+numerator, a sum only a factor two or more of its terms carry to the top
+exponent, and powers, negations and inverses cancel nothing.  Every sum, of
+two values or of many terms, is one ``factored_sum``, and every trial
+division runs in the one loop ``_divide_factors``.  Results are built
+through the trusting ``FactoredFraction._reduced``; the public constructor
+reduces what it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional
 
 from .errors import ReductionError, TableMismatchError
@@ -217,24 +217,8 @@ class FactoredFraction:
         return self.factors.constant(other)
 
     def __add__(self, other) -> "FactoredFraction":
-        """Sum over the lcm of the denominators.
-
-        Where one operand carries a factor to a lower exponent, its term keeps
-        a power of the factor and the other term's numerator is prime to it,
-        so the sum is too; only equal exponents are tried.
-        """
-        other = self._coerce(other)
-        mine = dict(self.denominator)
-        theirs = dict(other.denominator)
-        lcm = {i: max(mine.get(i, 0), theirs.get(i, 0)) for i in set(mine) | set(theirs)}
-        num = _scaled_numerator(self, lcm, mine) + _scaled_numerator(other, lcm, theirs)
-        if num.is_zero:
-            return FactoredFraction._reduced(self.factors, num, ())
-        for idx, exp in mine.items():
-            if theirs.get(idx) == exp:
-                num, divided = divide_out(num, self.factors.factors[idx], exp)
-                lcm[idx] -= divided
-        return FactoredFraction._reduced(self.factors, num, ((i, e) for i, e in lcm.items() if e))
+        """Sum of two values, the two-term case of ``factored_sum``."""
+        return factored_sum(self.factors, (self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -261,8 +245,12 @@ class FactoredFraction:
         mine = dict(self.denominator)
         theirs = dict(other.denominator)
         powers = {i: e + theirs[i] for i, e in mine.items() if i in theirs}
-        a = _cancel(self.factors, a, theirs, mine, powers)
-        b = _cancel(self.factors, b, mine, theirs, powers)
+        only_mine = {i: e for i, e in mine.items() if i not in theirs}
+        only_theirs = {i: e for i, e in theirs.items() if i not in mine}
+        a, left = _divide_factors(self.factors, a, only_theirs)
+        powers.update(left)
+        b, left = _divide_factors(self.factors, b, only_mine)
+        powers.update(left)
         num = b if _is_one(a) else a if _is_one(b) else a * b
         return FactoredFraction._reduced(self.factors, num, powers.items())
 
@@ -345,35 +333,102 @@ class FactoredFraction:
         return f"FactoredFraction({format_fraction(self)!r})"
 
 
-def _scaled_numerator(
-    x: FactoredFraction, lcm: dict[int, int], own: dict[int, int]
-) -> ExactPolynomial:
-    """Numerator of x over the denominator ``lcm``, a multiple of its own."""
-    scale = x.factors.product((i, e - own.get(i, 0)) for i, e in lcm.items())
-    return x.numerator if scale is None else x.numerator * scale
+def factored_sum(factors: FactorSet, terms: Iterable) -> FactoredFraction:
+    """Sum of terms, each a reduced ``FactoredFraction`` or a tuple
+    (coefficient, Laurent monomial, signed factor exponents, residue or None)
+    standing for coefficient * monomial * prod psi_k^e_k * residue.
 
-
-def _cancel(
-    factors: FactorSet, num: ExactPolynomial, den: dict, own: dict, powers: dict
-) -> ExactPolynomial:
-    """Cancel out of ``num`` each factor of the other operand's denominator
-    ``den`` that its own denominator ``own`` lacks, at most to the factor's
-    exponent, and record what is left of that exponent in ``powers``.
-
-    Stops trying once ``num`` is a unit monomial, which no factor divides,
-    and skips each factor with a variable that ``num`` lacks.
+    The terms are cleared over prod psi_k^-E_k, E_k the lowest exponent of
+    factor k over the terms, and their numerators summed in one dict.  Each
+    term's residue must be prime to the factors that term carries to a
+    negative exponent, as a reduced value's numerator is to its denominator.
+    Then where one term alone reaches E_k < 0, every other cleared numerator
+    keeps a power of psi_k and that term's is prime to it, so the sum is
+    too: only factors two or more terms reach are trial-divided.  Factor
+    products, keyed by their (index, exponent) pairs, are built once per
+    call, each from its longest cached prefix.
     """
-    support = num.used_indices()
-    for idx, exp in den.items():
-        if idx in own:
-            continue
+    unit = factors.table.unit_monomial()
+    cleared = []
+    top: dict[int, int] = {}  # lowest exponent of each factor over the terms
+    reach: dict[int, int] = {}  # how many terms reach it
+    for term in terms:
+        if isinstance(term, FactoredFraction):
+            if term.is_zero:
+                continue
+            term = (1, unit, {idx: -exp for idx, exp in term.denominator}, term.numerator)
+        cleared.append(term)
+        for idx, e in term[2].items():
+            if e < top.get(idx, 0):
+                top[idx], reach[idx] = e, 1
+            elif e < 0 and e == top[idx]:
+                reach[idx] += 1
+    cache: dict[tuple, ExactPolynomial] = {}
+    total: dict = {}
+    one = ((unit, Fraction(1)),)
+    for coeff, shift, powers, residue in cleared:
+        key = tuple(sorted(
+            (idx, n) for idx in powers.keys() | top.keys()
+            if (n := powers.get(idx, 0) - top.get(idx, 0))
+        ))
+        num = None
+        for i, (idx, n) in enumerate(key):
+            prefix, power = key[:i + 1], key[i:i + 1]
+            if prefix not in cache:
+                if power not in cache:
+                    cache[power] = factors.factors[idx] ** n
+                cache[prefix] = cache[power] if num is None else num * cache[power]
+            num = cache[prefix]
+        if residue is not None:
+            num = residue if num is None else num * residue
+        scaled, shifted = coeff != 1, any(shift)
+        for m, c in one if num is None else num.terms.items():
+            if shifted:
+                m = tuple(map(add, m, shift))
+            value = total.get(m, 0) + (coeff * c if scaled else c)
+            if value:
+                total[m] = value
+            else:
+                del total[m]
+    num = ExactPolynomial._unchecked(factors.table, total)
+    if not total:
+        return FactoredFraction._reduced(factors, num, ())
+    contested, denominator = {}, {}
+    for idx, e in top.items():
+        (contested if reach[idx] > 1 else denominator)[idx] = -e
+    num, left = _divide_factors(factors, num, contested)
+    denominator.update(left)
+    return FactoredFraction._reduced(factors, num, denominator.items())
+
+
+def _divide_factors(
+    factors: FactorSet, num: ExactPolynomial, limits: dict[int, Optional[int]]
+) -> tuple[ExactPolynomial, dict[int, int]]:
+    """Divide the nonzero ``num`` by each factor in ``limits`` at most to its
+    limit, or while it divides where the limit is None.
+
+    Returns the quotient and, per factor, its limit less the divisions made
+    (a limit of None counting as zero), zeros left out.  A factor is tried
+    only where ``num`` has each of its variables among its non-invertible
+    ones: a linear form's degree in each variable adds under products.  So
+    nothing is tried on a unit monomial, which no declared prime divides,
+    and an invertible-monomial factor is never tried.
+    """
+    laurent = factors.table.laurent
+    left: dict[int, int] = {}
+    support = None
+    for idx, limit in limits.items():
+        divided = 0
+        if support is None:
+            support = {pos for pos in num.used_indices() if not laurent[pos]}
         f = factors.factors[idx]
-        if not _is_unit_monomial(num) and f.used_indices() <= support:
-            num, divided = divide_out(num, f, exp)
-            exp -= divided
-        if exp:
-            powers[idx] = exp
-    return num
+        if f.used_indices() <= support:
+            num, divided = divide_out(num, f, limit)
+            if divided:
+                support = None
+        if rest := (limit or 0) - divided:
+            left[idx] = rest
+    return num, left
 
 
 def _reduce(
@@ -387,19 +442,16 @@ def _reduce(
     """
     if num.is_zero:
         return num, {}
-    out: dict[int, int] = {}
-    for idx in sorted(powers):
-        exp = powers[idx]
+    limits: dict[int, int] = {}
+    for idx, exp in sorted(powers.items()):
         f = factors.factors[idx]
         if _is_unit_monomial(f):
             mono, coeff = next(iter(f.terms.items()))
             shift = tuple(-e * exp for e in mono)
             num = num.monomial_shifted(shift).scaled(Fraction(1) / coeff ** exp)
-            continue
-        num, divided = divide_out(num, f, exp)
-        if exp > divided:
-            out[idx] = exp - divided
-    return num, out
+        else:
+            limits[idx] = exp
+    return _divide_factors(factors, num, limits)
 
 
 def factor_decompose(
@@ -409,18 +461,8 @@ def factor_decompose(
     residue.  The residue is what is left once every declared factor is
     extracted, or None when that is a single invertible term, whose
     coefficient and monomial come first (else both are one)."""
-    extracted: dict[int, int] = {}
-    support = p.used_indices()
-    for idx, f in enumerate(factors.factors):
-        if _is_unit_monomial(p):
-            break  # no declared prime divides a unit
-        if _is_unit_monomial(f):
-            continue  # invertible-monomial content lands in the monomial part
-        if f.used_indices() <= support:
-            p, divided = divide_out(p, f)
-            if divided:
-                extracted[idx] = divided
-                support = p.used_indices()
+    p, left = _divide_factors(factors, p, dict.fromkeys(range(len(factors))))
+    extracted = {idx: -exp for idx, exp in left.items()}
     if not _is_unit_monomial(p):
         return Fraction(1), p.table.unit_monomial(), extracted, p
     (mono, coeff), = p.terms.items()

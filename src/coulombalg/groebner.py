@@ -34,7 +34,7 @@ from math import gcd
 from operator import add, le, neg, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .fracs import FactoredFraction, FactorSet
+from .fracs import FactoredFraction, FactorSet, factored_sum
 from .poly import ExactPolynomial, Monomial, VariableTable, _integer_terms
 
 # ---------------------------------------------------------------------------
@@ -499,11 +499,11 @@ def evaluate_tags(
     """Evaluate a tag-variable polynomial at the generator elements."""
     factors = generators[0][1].factors
     by_name = dict(generators)
-    total = factors.zero()
+    terms = []
     for mono, coeff in sorted(witness.terms.items()):
         term = factors.constant(coeff)
         for pos, exp in enumerate(mono):
             if exp:
                 term = term * by_name[witness.table.names[pos]] ** exp
-        total = total + term
-    return total
+        terms.append(term)
+    return factored_sum(factors, terms)

@@ -7,22 +7,19 @@ evaluates the unique ring-homomorphism extension.
 Each image is factored once, when the morphism is built, as coefficient *
 Laurent monomial * declared factors to signed exponents * a residue no
 declared factor divides (None for a unit; invertible variables need units).
-A term's image is then exponent arithmetic, and the terms are summed once
-over the common denominator prod psi_k^E_k, E_k the largest denominator
-exponent of factor k.  Residues are prime to the declared factors, which are
-non-associate primes, so where one term alone reaches E_k the sum is prime to
-psi_k: only factors two or more terms reach are trial-divided.
+A term's image is then exponent arithmetic, and the terms go to
+``fracs.factored_sum`` as one sum: a product of residues is prime to every
+declared factor, as that sum requires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 from typing import Mapping
 
 from .errors import MorphismError, ReductionError
-from .fracs import FactoredFraction, FactorSet, factor_decompose
-from .poly import ExactPolynomial, VariableTable, divide_out
+from .fracs import FactoredFraction, FactorSet, factor_decompose, factored_sum
+from .poly import ExactPolynomial, VariableTable
 
 
 @dataclass(frozen=True)
@@ -73,73 +70,34 @@ class RingMorphism:
     def apply_polynomial(self, p: ExactPolynomial) -> FactoredFraction:
         if p.table != self.source:
             raise MorphismError("element over a different source table")
-        target = self.target
-        terms = []  # (coefficient, monomial, factor exponents, residue powers)
-        top: dict[int, int] = {}  # lowest exponent of each factor over the terms
+        unit = self.target.table.unit_monomial()
+        residues = {}  # (position, exponent) -> residue power, built once per call
+        terms = []
         for mono, coeff in p.terms.items():
-            shift = target.table.unit_monomial()
+            shift = unit
             powers: dict[int, int] = {}
-            residues = []
+            residue = None
             for pos, exp in enumerate(mono):
                 if not exp:
                     continue
                 image = self._factored[pos]
                 if image is None:
                     break  # the term maps to zero
-                c, m, image_powers, residue = image
+                c, m, image_powers, r = image
                 if c != 1:
                     coeff *= c ** exp
                 if any(m):
                     shift = tuple(a + exp * b for a, b in zip(shift, m))
                 for idx, e in image_powers.items():
                     powers[idx] = powers.get(idx, 0) + exp * e
-                if residue is not None:
-                    residues.append((pos, exp))
+                if r is not None:
+                    if (pos, exp) not in residues:
+                        residues[pos, exp] = r ** exp
+                    r = residues[pos, exp]
+                    residue = r if residue is None else residue * r
             else:
-                terms.append((coeff, shift, powers, residues))
-                for idx, e in powers.items():
-                    if e < top.get(idx, 0):
-                        top[idx] = e
-        # Clear every term over prod psi_k^-top[k] and sum the numerators.
-        # Factor products, keyed by their (index, exponent) pairs, and
-        # residue powers, keyed by (position, exponent), are built once per
-        # call, each product from its longest cached prefix.
-        cache: dict[tuple, ExactPolynomial] = {}
-        total: dict = {}
-        one = ((target.table.unit_monomial(), 1),)
-        for coeff, shift, powers, residues in terms:
-            key = tuple(sorted(
-                (idx, n) for idx in powers.keys() | top.keys()
-                if (n := powers.get(idx, 0) - top.get(idx, 0))
-            ))
-            num = None
-            for i, (idx, n) in enumerate(key):
-                prefix, power = key[:i + 1], key[i:i + 1]
-                if prefix not in cache:
-                    if power not in cache:
-                        cache[power] = target.factors[idx] ** n
-                    cache[prefix] = cache[power] if num is None else num * cache[power]
-                num = cache[prefix]
-            for pos, exp in residues:
-                if (pos, exp) not in cache:
-                    cache[pos, exp] = self._factored[pos][3] ** exp
-                num = cache[pos, exp] if num is None else num * cache[pos, exp]
-            for m, c in one if num is None else num.terms.items():
-                m = tuple(map(add, m, shift))
-                value = total.get(m, 0) + coeff * c
-                if value:
-                    total[m] = value
-                else:
-                    del total[m]
-        num = ExactPolynomial._unchecked(target.table, total)
-        denominator = []
-        for idx, e in top.items() if total else ():
-            if sum(powers.get(idx) == e for _, _, powers, _ in terms) > 1:
-                num, divided = divide_out(num, target.factors[idx], -e)
-                e += divided
-            if e:
-                denominator.append((idx, -e))
-        return FactoredFraction._reduced(target, num, denominator)
+                terms.append((coeff, shift, powers, residue))
+        return factored_sum(self.target, terms)
 
     def apply_fraction(self, f: FactoredFraction) -> FactoredFraction:
         num = self.apply_polynomial(f.numerator)
@@ -147,7 +105,7 @@ class RingMorphism:
             image = self.apply_polynomial(f.factors.factors[idx])
             try:
                 inv = image.inverse()
-            except ReductionError as exc:
+            except (ReductionError, ZeroDivisionError) as exc:
                 raise MorphismError(
                     f"denominator factor maps outside the multiplicative set: {exc}"
                 ) from exc

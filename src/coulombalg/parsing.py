@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ExpressionError, ReductionError
-from .fracs import FactoredFraction, FactorSet
+from .fracs import FactoredFraction, FactorSet, factored_sum
 
 MAX_EXPONENT = 64
 MAX_LITERAL_DIGITS = 1000
@@ -95,12 +95,12 @@ class _Parser:
         return value
 
     def expr(self) -> FactoredFraction:
-        value = self.term()
+        terms = [self.term()]
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            terms.append(rhs if op == "+" else -rhs)
+        return factored_sum(self.factors, terms)
 
     def term(self) -> FactoredFraction:
         value = self.unary()

@@ -15,6 +15,7 @@ from coulombalg import (
     AmbientRing,
     CoulombProblem,
     ExactPolynomial,
+    FactoredFraction,
     GroebnerBasis,
     VariableTable,
     ambient_table,
@@ -168,10 +169,39 @@ def reference_divide(p, d):
     return ExactPolynomial(p.table, quotient).monomial_shifted(shift_back)
 
 
+def reference_sum(factors, terms):
+    """Sum of reduced ``FactoredFraction`` terms, cleared over the least
+    common multiple of their denominators (each factor to its largest
+    exponent) and reduced by trying every factor of it with
+    ``reference_divide`` for as long as it divides.
+
+    Written out here as a second route: it shares no code with the sums of
+    ``fracs``.
+    """
+    terms = [t for t in terms if not t.is_zero]
+    powers = {}
+    for t in terms:
+        for idx, exp in t.denominator:
+            powers[idx] = max(powers.get(idx, 0), exp)
+    num = factors.table.zero()
+    for t in terms:
+        scale = {idx: exp - dict(t.denominator).get(idx, 0) for idx, exp in powers.items()}
+        cleared = t.numerator
+        for idx, exp in scale.items():
+            cleared = cleared * factors.factors[idx] ** exp
+        num = num + cleared
+    if num.is_zero:
+        return factors.zero()
+    for idx in powers:
+        while powers[idx] and (q := reference_divide(num, factors.factors[idx])) is not None:
+            num, powers[idx] = q, powers[idx] - 1
+    return FactoredFraction._reduced(factors, num, [(i, e) for i, e in powers.items() if e])
+
+
 def reference_apply(morphism, p: ExactPolynomial):
     """Image of ``p`` under ``morphism``, term by term: each variable power
     through ``FactoredFraction`` powers and products (negative powers through
-    ``inverse``), and the terms added one at a time.
+    ``inverse``), and the terms added by ``reference_sum``.
 
     Written out here as a second route: it never reads the morphism's
     factored images.
@@ -183,14 +213,14 @@ def reference_apply(morphism, p: ExactPolynomial):
             cache[pos, exp] = morphism.images[morphism.source.names[pos]] ** exp
         return cache[pos, exp]
 
-    total = morphism.target.zero()
+    terms = []
     for mono, coeff in sorted(p.terms.items()):
         term = morphism.target.constant(coeff)
         for pos, exp in enumerate(mono):
             if exp:
                 term = term * var_power(pos, exp)
-        total = total + term
-    return total
+        terms.append(term)
+    return reference_sum(morphism.target, terms)
 
 
 def divide(p: ExactPolynomial, basis, order) -> tuple[ExactPolynomial, list[ExactPolynomial]]:

@@ -19,7 +19,7 @@ from coulombalg import (
     same_value,
     unit_decompose,
 )
-from conftest import benchmark_workloads, rand_polynomial, reference_divide
+from conftest import benchmark_workloads, rand_polynomial, reference_divide, reference_sum
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (TABLE.var(n) for n in ("mu", "tau", "z"))
@@ -357,6 +357,103 @@ def test_trusted_inverse_matches_full_reduction():
         assert x * inverse == FS.one()
 
 
+def is_unit_monomial(p):
+    return len(p.terms) == 1 and not any(next(iter(p.terms))[:2])
+
+
+def sum_term(rng):
+    """A term for ``factored_sum`` and its value: zero, a reduced value, a
+    unit monomial over factor powers, or the tuple form (coefficient, Laurent
+    monomial, signed factor exponents, residue or None) of such a value times
+    powers of factors its denominator lacks."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return FS.zero(), FS.zero()
+    den = [(i, rng.randint(0, 2)) for i in range(3)]
+    if kind % 2:
+        coeff = rng.choice((1, -3, Fraction(1, 2)))
+        x = FactoredFraction(FS, (z ** rng.randint(-2, 2)).scaled(coeff), den)
+    else:
+        x = FactoredFraction(FS, *raw_operand(rng))
+    if kind < 4 or x.is_zero:
+        return x, x
+    extra = {i: 1 for i in range(3) if i not in dict(x.denominator) and rng.randrange(2)}
+    powers = {**{i: -e for i, e in x.denominator}, **extra}
+    num = x.numerator * raw_polynomial(extra.items())
+    if is_unit_monomial(x.numerator):  # no residue
+        (mono, coeff), = x.numerator.terms.items()
+        term = (coeff, mono, powers, None)
+    else:
+        coeff, mono = rng.choice((1, 2, Fraction(-1, 3))), (0, 0, rng.randint(-1, 1))
+        term = (coeff, mono, powers, x.numerator)
+        num = num.scaled(coeff).monomial_shifted(mono)
+    return term, FactoredFraction._reduced(FS, num, x.denominator)
+
+
+def test_factored_sum_matches_reference(monkeypatch):
+    """Seeded sums of 0 to 6 terms against ``reference_sum``: the same value,
+    reduced, after only the trial divisions the rule allows.  Each divisor
+    is a factor two or more terms carry to the top exponent, and no form is
+    tried on a numerator that lacks one of its variables, here or in the
+    public constructor's reduction.  Empty sums, sums that cancel to zero,
+    contested factors that cancel and unit-monomial results are among the
+    300 sums."""
+    calls = []
+    last = None, None
+    divide = poly.exact_divide
+
+    def counted(p, d):
+        # A form that divides is tried again on the quotient until a trial
+        # fails; the screen applies to each form's first trial.
+        nonlocal last
+        if (p, d) != last:
+            assert d.used_indices() <= p.used_indices()
+        calls.append(d)
+        q = divide(p, d)
+        last = q, d
+        return q
+
+    monkeypatch.setattr(poly, "exact_divide", counted)
+    rng = random.Random(37)
+    seen = dict.fromkeys(("empty", "zero", "cancelled", "unit", "tuple"), 0)
+    for k in range(300):
+        pairs = [sum_term(rng) for _ in range(rng.randint(0, 6))]
+        terms, values = [t for t, _ in pairs], [v for _, v in pairs]
+        if values and k % 5 == 1:  # the sum cancels to zero
+            negated = -reference_sum(FS, values)
+            terms.append(negated)
+            values.append(negated)
+        elif values and k % 5 == 2:  # the sum is x, often with a smaller denominator
+            if k % 10 == 2:
+                x = FactoredFraction(FS, *raw_operand(rng))
+            else:
+                den = [(i, rng.randint(0, 1)) for i in range(3)]
+                x = FactoredFraction(FS, z ** rng.randint(-2, 2), den)
+            rest = reference_sum(FS, [x, -reference_sum(FS, values)])
+            terms.append(rest)
+            values.append(rest)
+        top, reach = {}, {}
+        for v in values:
+            for i, e in v.denominator:
+                if e > top.get(i, 0):
+                    top[i], reach[i] = e, 0
+                reach[i] += e == top[i]
+        contested = {i for i, n in reach.items() if n > 1}
+
+        calls.clear()
+        result = fracs.factored_sum(FS, terms)
+        expected = reference_sum(FS, values)
+        assert result == expected and same_value(result, expected)
+        assert_reduced(result)
+        assert {idx(d) for d in calls} <= contested
+        seen["empty"] += not terms
+        seen["zero"] += bool(terms) and result.is_zero
+        seen["cancelled"] += any(dict(result.denominator).get(i, 0) < top[i] for i in contested)
+        seen["unit"] += is_unit_monomial(result.numerator) and bool(contested)
+        seen["tuple"] += any(isinstance(t, tuple) for t in terms)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_trial_division_counts(monkeypatch, fresh_caches):
     """exact_divide calls and failures over 40 seed-1 abelian-query requests
     and 18 su2-chart requests, served on empty caches.  Before products
@@ -366,7 +463,9 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     and Euler-section entries skipped the full reduction, they made 1,387
     calls, 960 of which failed.  Before morphisms applied their images in
     factored form and the factor loops skipped forms with a variable the
-    dividend lacks, they made 1,044 calls, 717 of which failed."""
+    dividend lacks, they made 1,044 calls, 717 of which failed.  Before
+    every sum went through one cleared sum and every trial division through
+    one loop, they made 905 calls, 555 of which failed."""
     workloads = benchmark_workloads()
     calls = failures = 0
     divide = poly.exact_divide
@@ -384,4 +483,4 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     monkeypatch.setattr(fracs, "exact_divide", counted)
     for req in requests:
         workloads.serve(req)
-    assert (calls, failures) == (905, 555)
+    assert (calls, failures) == (895, 545)

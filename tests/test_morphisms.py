@@ -89,6 +89,14 @@ def test_denominator_factor_must_stay_in_set():
         m(bad)
 
 
+def test_denominator_factor_mapped_to_zero(u1_pm1):
+    # mu -> tau sends the factor mu - tau of a denominator to zero.
+    F = u1_pm1.factors
+    m = RingMorphism(u1_pm1.table, F, {"mu": F.var("tau")})
+    with pytest.raises(MorphismError, match="maps outside the multiplicative set"):
+        m(F.one() / (F.var("mu") - F.var("tau")))
+
+
 def test_composition():
     flip = RingMorphism(
         SRC, FS, {"z": FS.var("z") ** -1, "tau": FS.from_polynomial(-tau)}
