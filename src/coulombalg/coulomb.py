@@ -9,8 +9,8 @@ Weyl involution z -> 1/z, tau -> -tau, u -> u/z.
 A weight list induces the Euler section z_i -> prod_nu (mu + <nu,tau>)^{nu_i}
 of the Toda projection.  Translating by it along the group-scheme action is
 a rational automorphism of the localized pure branch; the matter branch is
-the subring of elements whose translate stays regular.  Membership is
-decided by a clearing/divisibility criterion in the abelian case and by
+the subring of regular elements whose translate stays regular.  Membership
+is decided by a clearing/divisibility criterion in the abelian case and by
 ideal membership on the blowup chart otherwise; presentations of the matter
 subring are computed as kernels of the generator map.
 """
@@ -33,7 +33,7 @@ from .groebner import (
     ring_map_kernel,
 )
 from .morphisms import RingMorphism, identity_morphism
-from .poly import ExactPolynomial, VariableTable, divide_out
+from .poly import ExactPolynomial, VariableTable
 from .rootdata import (
     AmbientRing,
     CoulombProblem,
@@ -150,11 +150,8 @@ def to_blowup_polynomial(ring: AmbientRing, f: Element) -> Optional[ExactPolynom
         pos = ring.problem.datum.block_coordinate(k)
         z_pos = ring.table.index(ring.z_names[pos])
         num = num.assign_polynomial(z_pos, ring.table.one() + ring.tau(pos) * ring.u(k))
-    for idx, exp in sorted(tau_powers.items()):
-        num, divided = divide_out(num, ring.factors.factors[idx], exp)
-        if divided < exp:
-            return None
-    return num.monomial_shifted(shifts)
+    num, left = ring.factors.divide(num, tau_powers)
+    return None if left else num.monomial_shifted(shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +335,15 @@ def _sector_factors(
 
 
 def matter_membership(ring: AmbientRing, f: Element) -> MembershipResult:
-    """Decide whether the translate of ``f`` stays regular.
+    """Decide whether ``f`` is regular and its translate stays regular.
 
     Abelian case: writing f as a sum of z-monomials times Cartan/mass
     coefficients, the translate of each sector is regular exactly when the
     negatively paired weight forms divide the coefficient; the first factor
     in declared order whose power fails is reported.  With SU(2) blocks the
     translate's cleared numerator is tested against the blowup relations
-    plus the cleared denominator by a deterministic basis computation.
+    plus the cleared denominator by a deterministic basis computation, and
+    f itself may have only block-tau denominators, as a regular element.
     """
     frac = _as_fraction(ring, f)
     if ring.blocks == 0:
@@ -364,10 +362,9 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
         coeff = sectors[m]
         positive, required = _sector_factors(ring.problem, ring, m)
         for idx in sorted(required):
-            factor = ring.factors.factors[idx]
-            coeff, divided = divide_out(coeff, factor, required[idx])
-            if divided < required[idx]:
-                return MembershipResult(False, offending=factor)
+            coeff, left = ring.factors.divide(coeff, {idx: required[idx]})
+            if left:
+                return MembershipResult(False, offending=ring.factors.factors[idx])
         shift = [0] * len(ring.table)
         for pos, e in zip(z_positions, m):
             shift[pos] = e
@@ -379,36 +376,45 @@ def _abelian_membership(ring: AmbientRing, frac: FactoredFraction) -> Membership
 
 
 def _blowup_membership(ring: AmbientRing, frac: FactoredFraction) -> MembershipResult:
-    translated = euler_translation(ring)(expand(ring, frac))
+    expanded = expand(ring, frac)
+    translated = euler_translation(ring)(expanded)
     numerator = translated.numerator
     denominator = translated.denominator_polynomial()
     enc = encode_ring(ring.factors, extra_relations=blowup_relations(ring))
     gens = list(enc.relations) + [enc.encode_polynomial(denominator)]
     basis = buchberger(Ideal(enc.table, tuple(gens)), GREVLEX)
+    block_tau = ring.block_tau_indices()
     if basis.contains(enc.encode_polynomial(numerator)):
         regular = to_blowup_polynomial(ring, translated)
         if regular is None:
             raise AlgebraError("membership routes disagree; regular form not found")
-        return MembershipResult(True, translated=ring.fraction(regular))
-    block_tau = ring.block_tau_indices()
-    # A translate outside the ideal has a denominator.  Report its first
-    # factor that is not a block tau, else its first factor.
-    idx, _ = min(translated.denominator, key=lambda factor: factor[0] in block_tau)
+        # The element must be regular too.  No denominator but a block tau
+        # ever is, and a block-tau power is absorbed exactly when the
+        # translate's is: the translation fixes tau_k and, its section
+        # entries being units near tau_k = 0, keeps the order along it.
+        if all(idx in block_tau for idx, _ in expanded.denominator):
+            return MembershipResult(True, translated=ring.fraction(regular))
+    # A translate outside the ideal, and an element that is not regular,
+    # have a denominator.  Report the translate's first factor that is not
+    # a block tau, else its first factor; the element's if it has none.
+    powers = translated.denominator or expanded.denominator
+    idx, _ = min(powers, key=lambda factor: factor[0] in block_tau)
     return MembershipResult(False, offending=ring.factors.factors[idx])
 
 
 def translation_regular_by_division(ring: AmbientRing, f: Element) -> bool:
-    """Independent regularity check: clear the translate and divide exactly.
+    """Independent check: clear the element and its translate, divide exactly.
 
     Used as a cross-check of the sector criterion and of the ideal route:
-    the translate is regular exactly when its fully reduced form has no
-    denominator (abelian) or only block-tau denominators that the chart
-    absorbs (SU(2) blocks).
+    a member and its translate are regular, and a value is regular exactly
+    when its fully reduced form has no denominator (abelian) or only
+    block-tau denominators that the chart absorbs (SU(2) blocks).
     """
-    translated = euler_translation(ring)(expand(ring, f))
+    expanded = expand(ring, f)
+    values = (expanded, euler_translation(ring)(expanded))
     if ring.blocks == 0:
-        return translated.is_polynomial
-    return to_blowup_polynomial(ring, translated) is not None
+        return all(v.is_polynomial for v in values)
+    return all(to_blowup_polynomial(ring, v) is not None for v in values)
 
 
 # ---------------------------------------------------------------------------

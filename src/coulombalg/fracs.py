@@ -17,20 +17,20 @@ product can only cancel a factor of one denominator out of the other
 numerator, a sum only a factor two or more of its terms carry to the top
 exponent, and powers, negations and inverses cancel nothing.  Every sum, of
 two values or of many terms, is one ``factored_sum``, and every trial
-division runs in the one loop ``_divide_factors``.  Results are built
-through the trusting ``FactoredFraction._reduced``; the public constructor
-reduces what it is given.
+division by a declared factor, here or in ``coulomb``, runs in the one loop
+``FactorSet.divide``.  Results are built through the trusting
+``FactoredFraction._reduced``; the public constructor reduces its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional
 
 from .errors import ReductionError, TableMismatchError
-from .poly import ExactPolynomial, Monomial, VariableTable, divide_out, exact_divide
+from .poly import ExactPolynomial, Monomial, VariableTable, exact_divide
 
 
 def _is_linear_in_plain_vars(p: ExactPolynomial) -> bool:
@@ -73,6 +73,8 @@ class FactorSet:
 
     table: VariableTable
     factors: tuple[ExactPolynomial, ...]
+    # Each factor's variable positions: the screen of every trial division.
+    variables: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen: list[ExactPolynomial] = []
@@ -90,6 +92,8 @@ class FactorSet:
                 if _proportional(f, g):
                     raise ValueError(f"proportional factors declared: {f!r}")
             seen.append(f)
+        variables = tuple(tuple(sorted(f.used_indices())) for f in self.factors)
+        object.__setattr__(self, "variables", variables)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -127,6 +131,40 @@ class FactorSet:
                 power = self.factors[idx] ** exp
                 product = power if product is None else product * power
         return product
+
+    def divide(
+        self, num: ExactPolynomial, limits: dict[int, Optional[int]]
+    ) -> tuple[ExactPolynomial, dict[int, int]]:
+        """Divide the nonzero ``num`` by each factor in ``limits``, in order,
+        at most to its limit, or while it divides where the limit is None.
+
+        Returns the quotient and, per factor, its limit less the divisions
+        made (a limit of None counting as zero), zeros left out.  A division
+        is tried only while the quotient has each of the factor's variables
+        among its non-invertible ones, as a linear form's degree in each
+        variable adds under products: never on a unit monomial, and never by
+        an invertible-monomial factor.  A division can only remove the
+        factor's own variables, so only those are looked for again.
+        """
+        if not limits:
+            return num, {}
+        laurent = self.table.laurent
+        support = {pos for pos in num.used_indices() if not laurent[pos]}
+        left: dict[int, int] = {}
+        for idx, limit in limits.items():
+            f, needed = self.factors[idx], self.variables[idx]
+            divided = 0
+            while support.issuperset(needed) and divided != limit:
+                q = exact_divide(num, f)
+                if q is None:
+                    break
+                num, divided = q, divided + 1
+                support.difference_update(
+                    pos for pos in needed if not any(m[pos] for m in num.terms)
+                )
+            if rest := (limit or 0) - divided:
+                left[idx] = rest
+        return num, left
 
 
 def _proportional(f: ExactPolynomial, g: ExactPolynomial) -> bool:
@@ -247,9 +285,9 @@ class FactoredFraction:
         powers = {i: e + theirs[i] for i, e in mine.items() if i in theirs}
         only_mine = {i: e for i, e in mine.items() if i not in theirs}
         only_theirs = {i: e for i, e in theirs.items() if i not in mine}
-        a, left = _divide_factors(self.factors, a, only_theirs)
+        a, left = self.factors.divide(a, only_theirs)
         powers.update(left)
-        b, left = _divide_factors(self.factors, b, only_mine)
+        b, left = self.factors.divide(b, only_mine)
         powers.update(left)
         num = b if _is_one(a) else a if _is_one(b) else a * b
         return FactoredFraction._reduced(self.factors, num, powers.items())
@@ -396,39 +434,9 @@ def factored_sum(factors: FactorSet, terms: Iterable) -> FactoredFraction:
     contested, denominator = {}, {}
     for idx, e in top.items():
         (contested if reach[idx] > 1 else denominator)[idx] = -e
-    num, left = _divide_factors(factors, num, contested)
+    num, left = factors.divide(num, contested)
     denominator.update(left)
     return FactoredFraction._reduced(factors, num, denominator.items())
-
-
-def _divide_factors(
-    factors: FactorSet, num: ExactPolynomial, limits: dict[int, Optional[int]]
-) -> tuple[ExactPolynomial, dict[int, int]]:
-    """Divide the nonzero ``num`` by each factor in ``limits`` at most to its
-    limit, or while it divides where the limit is None.
-
-    Returns the quotient and, per factor, its limit less the divisions made
-    (a limit of None counting as zero), zeros left out.  A factor is tried
-    only where ``num`` has each of its variables among its non-invertible
-    ones: a linear form's degree in each variable adds under products.  So
-    nothing is tried on a unit monomial, which no declared prime divides,
-    and an invertible-monomial factor is never tried.
-    """
-    laurent = factors.table.laurent
-    left: dict[int, int] = {}
-    support = None
-    for idx, limit in limits.items():
-        divided = 0
-        if support is None:
-            support = {pos for pos in num.used_indices() if not laurent[pos]}
-        f = factors.factors[idx]
-        if f.used_indices() <= support:
-            num, divided = divide_out(num, f, limit)
-            if divided:
-                support = None
-        if rest := (limit or 0) - divided:
-            left[idx] = rest
-    return num, left
 
 
 def _reduce(
@@ -451,7 +459,7 @@ def _reduce(
             num = num.monomial_shifted(shift).scaled(Fraction(1) / coeff ** exp)
         else:
             limits[idx] = exp
-    return _divide_factors(factors, num, limits)
+    return factors.divide(num, limits)
 
 
 def factor_decompose(
@@ -461,7 +469,7 @@ def factor_decompose(
     residue.  The residue is what is left once every declared factor is
     extracted, or None when that is a single invertible term, whose
     coefficient and monomial come first (else both are one)."""
-    p, left = _divide_factors(factors, p, dict.fromkeys(range(len(factors))))
+    p, left = factors.divide(p, dict.fromkeys(range(len(factors))))
     extracted = {idx: -exp for idx, exp in left.items()}
     if not _is_unit_monomial(p):
         return Fraction(1), p.table.unit_monomial(), extracted, p

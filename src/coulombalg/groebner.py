@@ -34,7 +34,8 @@ from math import gcd
 from operator import add, le, neg, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .fracs import FactoredFraction, FactorSet, factored_sum
+from .fracs import FactoredFraction, FactorSet
+from .morphisms import RingMorphism
 from .poly import ExactPolynomial, Monomial, VariableTable, _integer_terms
 
 # ---------------------------------------------------------------------------
@@ -497,13 +498,4 @@ def evaluate_tags(
     witness: ExactPolynomial, generators: Sequence[tuple[str, FactoredFraction]]
 ) -> FactoredFraction:
     """Evaluate a tag-variable polynomial at the generator elements."""
-    factors = generators[0][1].factors
-    by_name = dict(generators)
-    terms = []
-    for mono, coeff in sorted(witness.terms.items()):
-        term = factors.constant(coeff)
-        for pos, exp in enumerate(mono):
-            if exp:
-                term = term * by_name[witness.table.names[pos]] ** exp
-        terms.append(term)
-    return factored_sum(factors, terms)
+    return RingMorphism(witness.table, generators[0][1].factors, dict(generators))(witness)

@@ -16,7 +16,8 @@ on one fact, Gauss's lemma: when the divisor divides, the cleared dividend
 is an integral multiple of the primitive divisor.  So a nonzero value of the
 dividend modulo the prime 2^61 - 1 at a point where a linear divisor
 vanishes proves failure, and so does a non-integral step of long division
-(see ``exact_divide``).
+(see ``exact_divide``).  Repeated division by a declared factor, and the
+screens that spare trials bound to fail, live in ``fracs.FactorSet.divide``.
 """
 
 from __future__ import annotations
@@ -479,21 +480,3 @@ def exact_divide(p: ExactPolynomial, d: ExactPolynomial) -> Optional[ExactPolyno
     return ExactPolynomial._unchecked(
         p.table, {m: Fraction(n * d_den, den) for m, n in quotient.items()}
     )
-
-
-def divide_out(
-    p: ExactPolynomial, d: ExactPolynomial, limit: Optional[int] = None
-) -> tuple[ExactPolynomial, int]:
-    """Divide ``p`` by ``d`` while ``d`` divides, at most ``limit`` times.
-
-    Returns the last quotient and the number of divisions made.  Stops at
-    the first division that fails, so at most one trial fails.  Without a
-    limit ``p`` must be nonzero: ``d`` divides zero forever.
-    """
-    count = 0
-    while limit is None or count < limit:
-        q = exact_divide(p, d)
-        if q is None:
-            break
-        p, count = q, count + 1
-    return p, count

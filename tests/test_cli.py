@@ -37,11 +37,16 @@ def test_membership_member(capsys, u1_file):
     assert out.splitlines()[0] == "Member"
 
 
-def test_membership_non_member(capsys, u1_file):
+def test_membership_non_member(capsys, u1_file, su2_file):
     code, out, _ = run(capsys, "membership", "--problem", u1_file, "--expr", "z")
     assert code == 1
     assert out.splitlines()[0] == "NotMember"
     assert "mu - tau" in out
+    # The translate is z, which is regular, but the element is not.
+    expr = "z*(mu-tau)/(mu+tau)"
+    code, out, _ = run(capsys, "membership", "--problem", su2_file, "--expr", expr)
+    assert code == 1
+    assert out.splitlines() == ["NotMember", "offending factor: mu + tau"]
 
 
 def test_input_errors_exit_2(capsys, u1_file, tmp_path):

@@ -277,16 +277,26 @@ def test_membership_xy_su2(su2_standard):
 
 @pytest.mark.parametrize(
     "text, offending",
-    [("1/tau", "tau"), ("z/tau", "mu - tau"), ("z", "mu - tau"), ("u", "mu - tau")],
+    [
+        ("1/tau", "tau"),
+        ("z/tau", "mu - tau"),
+        ("z", "mu - tau"),
+        ("u", "mu - tau"),
+        ("z*(mu-tau)/(mu+tau)", "mu + tau"),
+        ("z^-1*(mu+tau)/(mu-tau)", "mu - tau"),
+    ],
 )
 def test_blowup_offending_factor(su2_standard, text, offending):
     # The first denominator factor of the translate that is not a block tau,
     # else the first one: the translate of z/tau has denominator tau*(mu - tau).
+    # The last two are not regular, though their translates z and 1/z are,
+    # so the element's own factor is reported.
     ring = su2_standard
     f = parse_expression(text, ring.factors)
     res = matter_membership(ring, f)
     assert not res.member
     assert format_polynomial(res.offending) == offending
+    assert not translation_regular_by_division(ring, f)
     if text == "z/tau":
         translated = euler_translation(ring)(expand(ring, f))
         assert translated.denominator[0][0] == ring.tau_factor_index(0)
@@ -304,24 +314,49 @@ def test_member_set_closed_under_ring_ops(u1_pm1):
         assert matter_membership(ring, a * b).member
 
 
+def untranslation(ring):
+    """The inverse of the Euler translation.  It sends a regular f to the
+    element whose translate is f, which is mostly not regular itself."""
+    return translate_by_section(ring, euler_section(ring.problem, ring).inverse())
+
+
 def test_divisibility_oracle_equivalence(u1_pm1):
     ring = u1_pm1
     rng = random.Random(79)
+    untranslate = untranslation(ring)
+    rejected = 0
     for _ in range(200):
         f = rand_pure_element(rng, ring, zmax=3, degmax=3)
         assert matter_membership(ring, f).member == translation_regular_by_division(ring, f)
+        g = untranslate(f)
+        member = matter_membership(ring, g).member
+        assert member == translation_regular_by_division(ring, g)
+        rejected += not member
+    assert rejected >= 150
 
 
 def test_blowup_routes_agree(su2_standard):
     ring = su2_standard
     rng = random.Random(83)
     gens = standard_block_generators(ring)
+    untranslate = untranslation(ring)
+    rejected = 0
     for i in range(60):
         if i % 2:
             f = ring.fraction(rand_blowup_element(rng, ring, max_terms=3))
         else:
             f = rand_member(rng, ring, gens, size=2)
         assert matter_membership(ring, f).member == translation_regular_by_division(ring, f)
+        if i % 2 == 0:
+            # A block-tau denominator: regular exactly when its translate is.
+            g = f / ring.fraction(ring.tau(0))
+            assert matter_membership(ring, g).member == translation_regular_by_division(ring, g)
+            # The translate of g is the member f.
+            g = untranslate(f)
+            member = matter_membership(ring, g).member
+            assert member == translation_regular_by_division(ring, g)
+            rejected += not member
+    assert rejected >= 15
 
 
 def test_membership_of_fraction_input(u1_pm1):

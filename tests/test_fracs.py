@@ -288,7 +288,7 @@ def test_trusted_paths_match_full_reduction(monkeypatch):
         trials += 1
         return divide(p, d)
 
-    monkeypatch.setattr(poly, "exact_divide", counted)
+    monkeypatch.setattr(fracs, "exact_divide", counted)
     rng = random.Random(29)
     cancelling_products = cancelling_sums = 0
     for k in range(200):
@@ -395,25 +395,18 @@ def test_factored_sum_matches_reference(monkeypatch):
     reduced, after only the trial divisions the rule allows.  Each divisor
     is a factor two or more terms carry to the top exponent, and no form is
     tried on a numerator that lacks one of its variables, here or in the
-    public constructor's reduction.  Empty sums, sums that cancel to zero,
-    contested factors that cancel and unit-monomial results are among the
-    300 sums."""
+    public constructor's reduction, not even on the quotient of a division
+    that succeeded.  Empty sums, sums that cancel to zero, contested
+    factors that cancel and unit-monomial results are among the 300 sums."""
     calls = []
-    last = None, None
     divide = poly.exact_divide
 
     def counted(p, d):
-        # A form that divides is tried again on the quotient until a trial
-        # fails; the screen applies to each form's first trial.
-        nonlocal last
-        if (p, d) != last:
-            assert d.used_indices() <= p.used_indices()
+        assert d.used_indices() <= p.used_indices()
         calls.append(d)
-        q = divide(p, d)
-        last = q, d
-        return q
+        return divide(p, d)
 
-    monkeypatch.setattr(poly, "exact_divide", counted)
+    monkeypatch.setattr(fracs, "exact_divide", counted)
     rng = random.Random(37)
     seen = dict.fromkeys(("empty", "zero", "cancelled", "unit", "tuple"), 0)
     for k in range(300):
@@ -465,7 +458,10 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     factored form and the factor loops skipped forms with a variable the
     dividend lacks, they made 1,044 calls, 717 of which failed.  Before
     every sum went through one cleared sum and every trial division through
-    one loop, they made 905 calls, 555 of which failed."""
+    one loop, they made 905 calls, 555 of which failed.  Before that loop
+    screened every division, not only each factor's first, and
+    ``coulomb`` divided through it too, they made 895 calls, 545 of which
+    failed."""
     workloads = benchmark_workloads()
     calls = failures = 0
     divide = poly.exact_divide
@@ -479,8 +475,7 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
 
     requests = next(workloads.abelian_rounds(1, 108))[:40]
     requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
-    monkeypatch.setattr(poly, "exact_divide", counted)
     monkeypatch.setattr(fracs, "exact_divide", counted)
     for req in requests:
         workloads.serve(req)
-    assert (calls, failures) == (895, 545)
+    assert (calls, failures) == (621, 271)

@@ -11,8 +11,8 @@ from coulombalg import (
     RingMorphism,
     VariableTable,
     coulomb,
+    fracs,
     identity_morphism,
-    poly,
     same_value,
     shmodel,
 )
@@ -107,15 +107,16 @@ def test_composition():
 
 
 def counted_divisors(monkeypatch) -> list:
-    """Record the divisor of every ``poly.exact_divide`` call from now on."""
+    """Record the divisor of every trial division ``FactorSet.divide`` makes
+    from now on."""
     divisors = []
-    divide = poly.exact_divide
+    divide = fracs.exact_divide
 
     def counted(p, d):
         divisors.append(d)
         return divide(p, d)
 
-    monkeypatch.setattr(poly, "exact_divide", counted)
+    monkeypatch.setattr(fracs, "exact_divide", counted)
     return divisors
 
 

@@ -6,8 +6,7 @@ from math import gcd
 
 import pytest
 
-from coulombalg import ExactPolynomial, VariableTable, exact_divide, groebner, poly
-from coulombalg.poly import divide_out
+from coulombalg import ExactPolynomial, FactorSet, VariableTable, exact_divide, fracs, groebner, poly
 from conftest import benchmark_workloads, rand_polynomial, reference_divide
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("u", False), ("z", True)])
@@ -114,34 +113,55 @@ def test_assign_polynomial():
     assert image == expected
 
 
+FACTORS = FactorSet(TABLE, (tau, mu - tau))
+
+
 @pytest.fixture
 def division_calls(monkeypatch):
-    """Count the trial divisions ``divide_out`` makes."""
+    """Record the divisor of each trial division ``FactorSet.divide`` makes."""
     calls = []
 
     def counted(p, d):
         calls.append(d)
         return exact_divide(p, d)
 
-    monkeypatch.setattr(poly, "exact_divide", counted)
+    monkeypatch.setattr(fracs, "exact_divide", counted)
     return calls
 
 
-def test_divide_out_stops_at_limit(division_calls):
-    assert divide_out(tau ** 3 * (mu + 1), tau, 2) == (tau * (mu + 1), 2)
+def test_divide_stops_at_limit(division_calls):
+    assert FACTORS.divide(tau ** 3 * (mu + 1), {0: 2}) == (tau * (mu + 1), {})
     assert len(division_calls) == 2
 
 
-def test_divide_out_stops_at_first_failed_division(division_calls):
-    assert divide_out(tau ** 3 * (mu + 1), tau, 5) == (mu + 1, 3)
+def test_divide_stops_at_first_failed_division(division_calls):
+    assert FACTORS.divide(tau ** 3 * (mu + tau), {0: 5}) == (mu + tau, {0: 2})
     assert len(division_calls) == 4
-    assert divide_out(mu + 1, tau, 2) == (mu + 1, 0)
-    assert len(division_calls) == 5
+    assert FACTORS.divide((mu + tau) * (mu - tau) ** 2, {1: None}) == (mu + tau, {1: -2})
+    assert len(division_calls) == 7
 
 
-def test_divide_out_without_limit(division_calls):
-    assert divide_out(z * (mu - tau) ** 4, mu - tau) == (z, 4)
-    assert len(division_calls) == 5
+def test_divide_without_limit(division_calls):
+    assert FACTORS.divide(z * (mu - tau) ** 4 * (mu + 1), {1: None}) == (z * (mu + 1), {1: -4})
+    assert len(division_calls) == 4
+
+
+def test_divide_skips_quotients_without_the_factor_variables(division_calls):
+    # Each quotient below has lost a variable of the form, or is a unit
+    # monomial, so the trial that would follow each last division could
+    # only fail and is not made.
+    assert FACTORS.divide(tau ** 3 * (mu + 1), {0: 5}) == (mu + 1, {0: 2})
+    assert FACTORS.divide(z * (mu - tau) ** 4, {1: None}) == (z, {1: -4})
+    assert len(division_calls) == 7
+    # After tau goes, only tau is looked for again: mu - tau still has it.
+    division_calls.clear()
+    assert FACTORS.divide(tau * (mu - tau), {0: None, 1: None}) == (TABLE.one(), {0: -1, 1: -1})
+    assert division_calls == [tau, tau, mu - tau]
+    # No declared factor is tried on a polynomial lacking its variables.
+    division_calls.clear()
+    assert FACTORS.divide(mu + 1, {0: 2, 1: None}) == (mu + 1, {0: 2})
+    assert FACTORS.divide(z ** 2, {0: 1, 1: 1}) == (z ** 2, {0: 1, 1: 1})
+    assert division_calls == []
 
 
 def test_transfer_by_name():
@@ -289,9 +309,11 @@ def test_certificate_declines(p, d, quotient):
 
 def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch, fresh_caches):
     """Every failed division is decided before long division, and no
-    succeeding one is, over the 108 requests of the first seed-1
-    abelian-query round, 18 su2-chart requests and one tiny presentation
-    batch, served on empty caches."""
+    succeeding one is, over the 216 requests of the first two seed-1
+    abelian-query rounds, 18 su2-chart requests and one tiny presentation
+    batch, served on empty caches.  (One round sufficed for a thousand
+    decisions until the division loop stopped making trials bound to
+    fail.)"""
     workloads = benchmark_workloads()
     certify = poly._value_on_zero_set
     decided = misses = false_alarms = 0
@@ -308,7 +330,8 @@ def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch, fres
         return value
 
     monkeypatch.setattr(poly, "_value_on_zero_set", counted)
-    requests = next(workloads.abelian_rounds(1, 108))
+    rounds = workloads.abelian_rounds(1, 108)
+    requests = next(rounds) + next(rounds)
     requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
     requests += workloads.presentation_batch(1, 0, tiny=True)
     for req in requests:
