@@ -181,6 +181,13 @@ class SectionSpec:
             if unit_decompose(self.target, entry.numerator) is None:
                 raise AlgebraError(f"section entry {name} is not a unit")
 
+    @classmethod
+    def _trusted(cls, problem, side, target, entries) -> "SectionSpec":
+        """Wrap entries known to be units over ``target``, unchecked."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(problem=problem, side=side, target=target, entries=entries)
+        return spec
+
     def entry(self, z_name: str) -> FactoredFraction:
         return dict(self.entries)[z_name]
 
@@ -218,10 +225,11 @@ def euler_section(problem: CoulombProblem, target: WeightFormRing) -> SectionSpe
         num, den = _sector_factors(problem, target, unit)
         numerator = target.factors.product(num.items()) or target.table.one()
         # The numerator and denominator forms are disjoint, and distinct
-        # forms are distinct primes, so the entry is already reduced.
+        # forms are distinct primes, so the entry is already reduced, and a
+        # product of factor powers is a unit.
         entry = FactoredFraction._reduced(target.factors, numerator, den.items())
         entries.append((z_names[i], entry))
-    return SectionSpec(problem, side, target.factors, tuple(entries))
+    return SectionSpec._trusted(problem, side, target.factors, tuple(entries))
 
 
 def translate_by_section(ring: AmbientRing, section: SectionSpec) -> RingMorphism:

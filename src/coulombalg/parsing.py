@@ -15,18 +15,29 @@ Exponents must be integer literals of absolute value at most
 power, and no integer literal may have more than ``MAX_LITERAL_DIGITS``
 digits.  Division is resolved against the declared multiplicative set: the
 divisor must be a unit of the localization or divide the numerator exactly.
+The text is ASCII: any other character, a non-ASCII digit or space too, is
+outside the grammar.
 
 Each grammar rule returns the value of the text it read, left operand
 before right; there is no syntax tree.  A text with several faults thus
 reports the first in reading order (``1/(z+tau) +`` fails on its
 denominator, not on the dangling ``+``), but a character outside the token
 set comes first wherever it stands: the text is tokenized whole.
+
+A term folds its products of numbers and variables into one coefficient
+and Laurent monomial, and so its divisions by nonzero literals and
+invertible variables.  Products commute and cannot fail, so only any other
+division needs the value read so far: there the fold becomes a
+``FactoredFraction`` and the division runs as written, as do powers of
+literals and parentheses and negative powers of other variables.  The
+terms are summed in one ``factored_sum``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple, Optional, Union
 
 from .errors import ExpressionError, ReductionError
 from .fracs import FactoredFraction, FactorSet, factored_sum
@@ -36,11 +47,14 @@ MAX_LITERAL_DIGITS = 1000
 
 # --- Tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)|(?P<bad>.))",
+    re.ASCII,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "end"
     text: str
     pos: int
@@ -48,39 +62,35 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExpressionError(f"unexpected character {stripped[0]!r} at position {pos}")
-        if m.group("int") is not None:
-            tokens.append(_Token("int", m.group("int"), m.start("int")))
-        elif m.group("ident") is not None:
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {m[kind]!r} at position {m.start()}")
+        tokens.append(_Token(kind, m[kind], m.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
     def __init__(self, text: str, factors: FactorSet):
         self.text = text
         self.factors = factors
+        self.table = factors.table
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def accept(self, ops: str) -> Optional[str]:
+        """Consume the next token and return its text if it is one of ``ops``."""
+        kind, text, _ = self.tokens[self.i]
+        if kind == "op" and text in ops:
+            self.i += 1
+            return text
+        return None
 
     def expect_op(self, op: str):
         tok = self.advance()
@@ -89,71 +99,131 @@ class _Parser:
 
     def parse(self) -> FactoredFraction:
         value = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "end":
             raise ExpressionError(f"unexpected {tok.text!r} at position {tok.pos} in {self.text!r}")
         return value
 
     def expr(self) -> FactoredFraction:
-        terms = [self.term()]
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            terms.append(rhs if op == "+" else -rhs)
+        terms = []
+        op = "+"
+        while op:
+            term = self.term(1 if op == "+" else -1)
+            if term is not None:
+                terms.append(term)
+            op = self.accept("+-")
         return factored_sum(self.factors, terms)
 
-    def term(self) -> FactoredFraction:
-        value = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            if op == "*":
-                value = value * rhs
-            elif rhs.is_zero:
-                raise ExpressionError("division by zero")
-            else:
-                try:
-                    value = value / rhs
-                except ReductionError as exc:
-                    raise ExpressionError(str(exc)) from None
-        return value
+    def term(self, sign: int) -> Optional[tuple]:
+        """The term as a ``factored_sum`` term, or None when it is zero."""
+        laurent = self.table.laurent
+        num, den, exps = sign, 1, [0] * len(laurent)
+        value = None  # the product of the operands not folded
+        op = "*"
+        while op:
+            operand = self.unary()
+            if type(operand) is tuple:
+                c, pos, e = operand
+                if op == "*":
+                    num *= c
+                    exps[pos] += e
+                elif c and (laurent[pos] or not e):
+                    den *= c
+                    exps[pos] -= e
+                else:
+                    operand = self._folded_value(c, pos, e)
+            if type(operand) is not tuple:
+                if op == "*":
+                    value = operand if value is None else value * operand
+                elif operand.is_zero:
+                    raise ExpressionError("division by zero")
+                else:
+                    try:
+                        value = self._fold_times(num, den, exps, value) / operand
+                    except ReductionError as exc:
+                        raise ExpressionError(str(exc)) from None
+                    num, den, exps = 1, 1, [0] * len(laurent)
+            op = self.accept("*/")
+        if not num:
+            return None
+        if value is None:
+            return (Fraction(num, den), tuple(exps), {}, None)
+        # A factor of the denominator that is a variable of the monomial
+        # would divide the term's numerator, which factored_sum forbids.
+        variables = self.factors.variables
+        if any(exps[p] for idx, _ in value.denominator for p in variables[idx]):
+            value = self._fold_times(num, den, exps, value)
+            num, den, exps = 1, 1, [0] * len(laurent)
+        powers = {idx: -e for idx, e in value.denominator}
+        return (Fraction(num, den), tuple(exps), powers, value.numerator)
 
-    def unary(self) -> FactoredFraction:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return -self.unary()
+    def _folded_value(self, c: int, pos: int, e: int) -> FactoredFraction:
+        exps = [0] * len(self.table)
+        exps[pos] = e
+        return self._fold_times(c, 1, exps, None)
+
+    def _fold_times(self, num, den, exps, value) -> FactoredFraction:
+        """num/den * the monomial exps, times value unless it is None."""
+        if value is not None and num == den and not any(exps):
+            return value
+        fold = self.factors.from_polynomial(self.table.monomial(exps, Fraction(num, den)))
+        return fold if value is None else value * fold
+
+    def unary(self) -> Union[tuple[int, int, int], FactoredFraction]:
+        """A folded operand, (c, pos, e) for c * variable[pos]^e with e = 0
+        for a number, or the value of any other operand."""
+        if self.accept("-"):
+            operand = self.unary()
+            if type(operand) is tuple:
+                c, pos, e = operand
+                return -c, pos, e
+            return -operand
         return self.power()
 
-    def power(self) -> FactoredFraction:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != "^":
-            return base
-        self.advance()
+    def power(self) -> Union[tuple[int, int, int], FactoredFraction]:
+        tok = self.advance()
+        if tok.kind == "int":
+            # Checked before int(), which refuses very long digit strings.
+            if len(tok.text) > MAX_LITERAL_DIGITS:
+                raise ExpressionError(
+                    f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
+                    f"(position {tok.pos})"
+                )
+            operand = int(tok.text), 0, 0
+        elif tok.kind == "ident":
+            try:
+                operand = 1, self.table.index(tok.text), 1
+            except KeyError:
+                raise ExpressionError(f"unknown variable {tok.text!r}") from None
+        elif tok.kind == "op" and tok.text == "(":
+            operand = self.expr()
+            self.expect_op(")")
+        else:
+            raise ExpressionError(f"unexpected {tok.text!r} at position {tok.pos} in {self.text!r}")
+        if not self.accept("^"):
+            return operand
         exponent = self.exponent()
-        if exponent < 0 and base.is_zero:
+        if type(operand) is tuple:
+            _, pos, e = operand
+            if e and (exponent >= 0 or self.table.laurent[pos]):
+                return 1, pos, exponent
+            operand = self._folded_value(*operand)
+        if exponent < 0 and operand.is_zero:
             raise ExpressionError("negative power of zero")
         try:
-            return base ** exponent
+            return operand ** exponent
         except ReductionError as exc:
             raise ExpressionError(str(exc)) from None
 
     def exponent(self) -> int:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             value = self._signed_int()
             self.expect_op(")")
             return value
         return self._signed_int()
 
     def _signed_int(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         tok = self.advance()
         if tok.kind != "int":
             raise ExpressionError(
@@ -166,27 +236,6 @@ class _Parser:
                 f"(position {tok.pos} in {self.text!r})"
             )
         return sign * int(tok.text)
-
-    def atom(self) -> FactoredFraction:
-        tok = self.advance()
-        if tok.kind == "int":
-            # Checked before int(), which refuses very long digit strings.
-            if len(tok.text) > MAX_LITERAL_DIGITS:
-                raise ExpressionError(
-                    f"integer literal has more than {MAX_LITERAL_DIGITS} digits "
-                    f"(position {tok.pos})"
-                )
-            return self.factors.constant(int(tok.text))
-        if tok.kind == "ident":
-            try:
-                return self.factors.var(tok.text)
-            except KeyError:
-                raise ExpressionError(f"unknown variable {tok.text!r}") from None
-        if tok.kind == "op" and tok.text == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        raise ExpressionError(f"unexpected {tok.text!r} at position {tok.pos} in {self.text!r}")
 
 
 def parse_expression(text: str, factors: FactorSet) -> FactoredFraction:

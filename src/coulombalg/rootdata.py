@@ -153,10 +153,11 @@ class WeightFormRing:
         return weight_form(self.table, self.cartan_names, weight)
 
     def psi_factor_index(self, weight: Weight) -> int:
-        idx = self.factors.index_of(self.psi(weight))
-        if idx is None:
-            raise KeyError(f"weight {weight} has no declared factor")
-        return idx
+        """Index of psi(weight), laid out as ``weight_form_table`` declares."""
+        try:
+            return len(self.cartan_names) + self.problem.distinct_weights().index(tuple(weight))
+        except ValueError:
+            raise KeyError(f"weight {weight} has no declared factor") from None
 
     def fraction(self, p: ExactPolynomial) -> FactoredFraction:
         return self.factors.from_polynomial(p)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,13 +16,17 @@ from coulombalg import (
     AmbientRing,
     CoulombProblem,
     ExactPolynomial,
+    ExpressionError,
     FactoredFraction,
     GroebnerBasis,
+    ReductionError,
     VariableTable,
     ambient_table,
     coulomb,
     shmodel,
 )
+from coulombalg.fracs import factored_sum
+from coulombalg.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -332,3 +337,143 @@ def rand_abelian_problem(rng: random.Random) -> CoulombProblem:
         )
         if spanning:
             return CoulombProblem.make(rank, 0, weights)
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))", re.ASCII
+)
+
+
+class _ReferenceParser:
+    """Each grammar rule evaluates what it read through ``FactoredFraction``
+    arithmetic, operand by operand: every product a ``*``, every negative
+    power an ``inverse``.  See ``reference_parse``."""
+
+    def __init__(self, text, factors):
+        self.text, self.factors, self.tokens, self.i = text, factors, [], 0
+        pos = 0
+        while pos < len(text):
+            m = _REFERENCE_TOKEN.match(text, pos)
+            if not m:
+                stripped = text[pos:].lstrip(" \t\n\r\f\v")
+                if not stripped:
+                    break
+                raise ExpressionError(f"unexpected character {stripped[0]!r} at position {pos}")
+            kind = next(k for k in ("int", "ident", "op") if m.group(k) is not None)
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
+            pos = m.end()
+        self.tokens.append(("end", "", len(text)))
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def at_op(self, ops):
+        kind, text, _ = self.peek()
+        return kind == "op" and text in ops
+
+    def expect_op(self, op):
+        kind, text, pos = self.advance()
+        if kind != "op" or text != op:
+            raise ExpressionError(f"expected {op!r} at position {pos} in {self.text!r}")
+
+    def parse(self):
+        value = self.expr()
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ExpressionError(f"unexpected {text!r} at position {pos} in {self.text!r}")
+        return value
+
+    def expr(self):
+        terms = [self.term()]
+        while self.at_op("+-"):
+            op = self.advance()[1]
+            rhs = self.term()
+            terms.append(rhs if op == "+" else -rhs)
+        return factored_sum(self.factors, terms)
+
+    def term(self):
+        value = self.unary()
+        while self.at_op("*/"):
+            op = self.advance()[1]
+            rhs = self.unary()
+            if op == "*":
+                value = value * rhs
+            elif rhs.is_zero:
+                raise ExpressionError("division by zero")
+            else:
+                try:
+                    value = value / rhs
+                except ReductionError as exc:
+                    raise ExpressionError(str(exc)) from None
+        return value
+
+    def unary(self):
+        if self.at_op("-"):
+            self.advance()
+            return -self.unary()
+        base = self.atom()
+        if not self.at_op("^"):
+            return base
+        self.advance()
+        exponent = self.exponent()
+        if exponent < 0 and base.is_zero:
+            raise ExpressionError("negative power of zero")
+        try:
+            return base ** exponent
+        except ReductionError as exc:
+            raise ExpressionError(str(exc)) from None
+
+    def exponent(self):
+        paren = self.at_op("(")
+        if paren:
+            self.advance()
+        sign = -1 if self.at_op("-") else 1
+        if sign < 0:
+            self.advance()
+        kind, text, pos = self.advance()
+        if kind != "int":
+            raise ExpressionError(
+                f"exponent must be an integer literal (position {pos} in {self.text!r})"
+            )
+        if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
+            raise ExpressionError(
+                f"exponent exceeds {MAX_EXPONENT} in absolute value "
+                f"(position {pos} in {self.text!r})"
+            )
+        if paren:
+            self.expect_op(")")
+        return sign * int(text)
+
+    def atom(self):
+        kind, text, pos = self.advance()
+        if kind == "int":
+            if len(text) > MAX_LITERAL_DIGITS:
+                raise ExpressionError(
+                    f"integer literal has more than {MAX_LITERAL_DIGITS} digits (position {pos})"
+                )
+            return self.factors.constant(int(text))
+        if kind == "ident":
+            try:
+                return self.factors.var(text)
+            except KeyError:
+                raise ExpressionError(f"unknown variable {text!r}") from None
+        if kind == "op" and text == "(":
+            value = self.expr()
+            self.expect_op(")")
+            return value
+        raise ExpressionError(f"unexpected {text!r} at position {pos} in {self.text!r}")
+
+
+def reference_parse(text, factors):
+    """Evaluate an expression operand by operand, as written: the grammar,
+    caps and error texts of ``parsing.parse_expression``, with every product
+    and power a ``FactoredFraction`` operation and no folded terms.
+
+    Written out here as a second route: it shares only ``FactoredFraction``
+    arithmetic with the library's parser.
+    """
+    return _ReferenceParser(text, factors).parse()

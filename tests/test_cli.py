@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,14 @@ def test_two_fault_expression_exits_2(capsys, u1_file):
     code, out, err = run(capsys, "membership", "--problem", u1_file, "--expr", "1/(z+tau) +")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "multiplicative" in err
+
+
+def test_non_ascii_digits_exit_2(capsys):
+    problem = str(Path(__file__).resolve().parents[1] / "demos" / "problems" / "u1_pair.prob")
+    expr = "z^\u0663*mu + \uff11\uff12"  # Arabic-Indic three, fullwidth twelve
+    code, out, err = run(capsys, "membership", "--problem", problem, "--expr", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "unexpected character '\u0663' at position 2" in err
 
 
 @pytest.mark.parametrize("expr, accepted", [

@@ -33,9 +33,10 @@ from coulombalg import (
     to_blowup_polynomial,
     toda_base_membership,
     translate_by_section,
+    unit_decompose,
     weyl_group,
 )
-from coulombalg import coulomb
+from coulombalg import coulomb, shmodel
 from coulombalg.coulomb import SectionSpec, translation_regular_by_division
 from conftest import rand_blowup_element, rand_member, rand_pure_element
 
@@ -142,6 +143,20 @@ def test_euler_section_u1(u1_pm1):
     entry = section.entry("z")
     assert entry.numerator == ring.mu() + ring.tau(0)
     assert entry.denominator == ((ring.psi_factor_index((-1,)), 1),)
+
+
+@pytest.mark.parametrize("weights", [
+    [(1,), (-1,)], [(0,), (2,), (-1,), (2,)], [(1, 0), (0, 1), (-1, -1)], [(2, -1), (0, 0)],
+])
+def test_euler_section_entries_are_units(weights):
+    """``euler_section`` skips the unit check of the public constructor;
+    each entry passes it, and ``SectionSpec`` rebuilt publicly is equal."""
+    problem = CoulombProblem.make(len(weights[0]), 0, weights)
+    for ring in (ambient_table(problem), shmodel.equivariant_ring(problem)):
+        section = euler_section(problem, ring)
+        for _, entry in section.entries:
+            assert unit_decompose(ring.factors, entry.numerator) is not None
+        assert section == SectionSpec(problem, section.side, ring.factors, section.entries)
 
 
 def test_euler_section_no_weights():

@@ -461,7 +461,9 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     one loop, they made 905 calls, 555 of which failed.  Before that loop
     screened every division, not only each factor's first, and
     ``coulomb`` divided through it too, they made 895 calls, 545 of which
-    failed."""
+    failed.  Before the parser folded monomial products into sum terms and
+    Euler sections skipped the public unit check, they made 621 calls, 271
+    of which failed."""
     workloads = benchmark_workloads()
     calls = failures = 0
     divide = poly.exact_divide
@@ -478,4 +480,4 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     monkeypatch.setattr(fracs, "exact_divide", counted)
     for req in requests:
         workloads.serve(req)
-    assert (calls, failures) == (621, 271)
+    assert (calls, failures) == (426, 171)

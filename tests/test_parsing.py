@@ -1,10 +1,12 @@
 """Expression grammar, canonical printing, round trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from coulombalg import (
+    CoulombProblem,
     ExpressionError,
     ambient_table,
     parse_problem_text,
@@ -17,7 +19,7 @@ from coulombalg import (
     parse_expression,
 )
 from coulombalg.parsing import MAX_LITERAL_DIGITS
-from conftest import benchmark_workloads, rand_polynomial
+from conftest import benchmark_workloads, rand_polynomial, reference_parse
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (TABLE.var(n) for n in ("mu", "tau", "z"))
@@ -175,3 +177,84 @@ def test_fuzz_benchmark_expressions():
         assert parse_expression(format_element(value), factors) == value
         accepted += 1
     assert accepted > 100 and rejected > 100
+
+
+def test_non_ascii_characters_are_outside_the_grammar():
+    """Unicode digits and spaces are not read as ASCII ones."""
+    u1 = ambient_table(CoulombProblem.make(1, 0, [(1,), (-1,)])).factors
+    with pytest.raises(ExpressionError, match="unexpected character '\u0663' at position 2"):
+        parse_expression("z^\u0663*mu + \uff11\uff12", u1)
+    with pytest.raises(ExpressionError, match="unexpected character '\uff11' at position 6"):
+        parse_expression("z*mu +\uff11\uff12", u1)
+    with pytest.raises(ExpressionError, match=r"unexpected character '\\xa0' at position 1"):
+        parse_expression("z\xa0", u1)
+    assert parse_expression(" z^3*mu\t+ 12\n", u1) == parse_expression("z^3*mu + 12", u1)
+
+
+def parses_as_reference(text: str, factors: FactorSet) -> bool:
+    """The library's value is the reference's, term for term, and fully
+    reduced; or both raise the same ExpressionError text.  Returns whether
+    the text was accepted."""
+    try:
+        expected = reference_parse(text, factors)
+    except ExpressionError as exc:
+        with pytest.raises(ExpressionError) as raised:
+            parse_expression(text, factors)
+        assert str(raised.value) == str(exc), text
+        return False
+    value = parse_expression(text, factors)
+    assert value == expected, text
+    assert format_element(value) == format_element(expected)
+    assert all(type(c) is Fraction for c in value.numerator.terms.values())
+    assert value == FactoredFraction(factors, value.numerator, value.denominator)
+    return True
+
+
+ZERO_WEIGHT = ambient_table(CoulombProblem.make(1, 0, [(0,), (1,)])).factors
+
+EDGE_CASES = [
+    "mu^-1", "tau^-1", "mu^2/mu", "0^-1", "z^-0", "0*z^-1", "1/(2*tau)", "tau/(2*tau)",
+    "(mu-tau)/(tau-mu)", "mu*tau^-1*tau", "3/6*z", "--z", "2^65", "z^--1", "q*z^65",
+    "1/(z+tau) +", "tau*(1/tau)", "(1/tau)*tau", "mu*(1/mu)*mu", "(1/mu)*mu^2*z^-1",
+    "z/z^-2*tau^0/tau", "-2/-4*z", "0/(z+tau)", "z/0", "z/(z-z)", "z/(2*0)", "2*z^-1/z",
+    "(z+tau)^-1", "(mu+tau)^-2*(mu+tau)", "1/tau^2*tau*z", "-(z)*-2/3", "mu^0/mu",
+    "1/tau/tau*tau", "z*mu - z*mu", "0 - z + 0*mu", "(2)^3*z/(4)", "1/-z",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_edge_cases_match_reference(text):
+    for factors in (FS, ZERO_WEIGHT):
+        parses_as_reference(text, factors)
+
+
+def test_fuzz_mutations_match_reference():
+    """The 600 mutated texts of ``test_fuzz_benchmark_expressions``."""
+    workloads = benchmark_workloads()
+    requests = next(workloads.abelian_rounds(1, 108))
+    requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
+    rings = {}
+    rng = random.Random(1515)
+    accepted = 0
+    for _ in range(600):
+        req = rng.choice(requests)
+        if req.problem not in rings:
+            rings[req.problem] = ambient_table(parse_problem_text(req.problem).problem()).factors
+        accepted += parses_as_reference(_mutate(rng, req.expr), rings[req.problem])
+    assert 100 < accepted < 500
+
+
+def test_benchmark_texts_match_reference():
+    """The first query round of both workloads, seeds 1-5."""
+    workloads = benchmark_workloads()
+    catalog = workloads.su2_catalog()
+    rings = {}
+    for seed in range(1, 6):
+        requests = next(workloads.abelian_rounds(seed, 108))
+        requests += next(workloads.su2_rounds(seed, catalog, 108))
+        for req in requests:
+            if req.problem not in rings:
+                rings[req.problem] = ambient_table(
+                    parse_problem_text(req.problem).problem()
+                ).factors
+            assert parses_as_reference(req.expr, rings[req.problem])

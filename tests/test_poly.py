@@ -309,11 +309,12 @@ def test_certificate_declines(p, d, quotient):
 
 def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch, fresh_caches):
     """Every failed division is decided before long division, and no
-    succeeding one is, over the 216 requests of the first two seed-1
+    succeeding one is, over the 432 requests of the first four seed-1
     abelian-query rounds, 18 su2-chart requests and one tiny presentation
     batch, served on empty caches.  (One round sufficed for a thousand
     decisions until the division loop stopped making trials bound to
-    fail.)"""
+    fail; two sufficed until the parser folded monomial products and
+    Euler sections skipped the public unit check, which left 793.)"""
     workloads = benchmark_workloads()
     certify = poly._value_on_zero_set
     decided = misses = false_alarms = 0
@@ -331,7 +332,7 @@ def test_certificate_decides_every_failure_on_benchmark_stream(monkeypatch, fres
 
     monkeypatch.setattr(poly, "_value_on_zero_set", counted)
     rounds = workloads.abelian_rounds(1, 108)
-    requests = next(rounds) + next(rounds)
+    requests = [req for _ in range(4) for req in next(rounds)]
     requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 18))
     requests += workloads.presentation_batch(1, 0, tiny=True)
     for req in requests:

@@ -1,6 +1,8 @@
 """Root data, ambient rings, Weyl generators."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,12 @@ from coulombalg import (
     encode_ring,
     expand,
     format_polynomial,
+    parse_problem_text,
     unit_decompose,
     weyl_generator_morphisms,
 )
 from coulombalg.groebner import GREVLEX, Ideal
+from coulombalg.shmodel import equivariant_ring
 from conftest import rand_blowup_element, rand_pure_element
 
 
@@ -116,3 +120,24 @@ def test_mixed_group_block_acts_only_on_its_coordinates():
     for _ in range(20):
         f = rand_pure_element(rng, ring, zmax=2, degmax=2)
         assert w(w(ring.fraction(f))) == ring.fraction(f)
+
+
+def _golden_and_demo_problems() -> list[CoulombProblem]:
+    root = Path(__file__).resolve().parents[1]
+    texts = [s["problem"] for s in json.loads(
+        (root / "tests" / "golden" / "presentations.json").read_text()
+    )]
+    texts += [p.read_text() for p in sorted((root / "demos" / "problems").glob("*.prob"))]
+    return [parse_problem_text(text).problem() for text in texts]
+
+
+@pytest.mark.parametrize("build", [ambient_table, equivariant_ring], ids=["ambient", "equivariant"])
+def test_psi_factor_index_is_the_declared_layout(build):
+    problems = _golden_and_demo_problems() + [CoulombProblem.make(1, 0, [(0,), (1,), (0,)])]
+    for problem in problems:
+        ring = build(problem)
+        for w in problem.distinct_weights():
+            assert ring.psi_factor_index(w) == ring.factors.index_of(ring.psi(w))
+            assert ring.psi_factor_index(list(w)) == ring.psi_factor_index(w)
+        with pytest.raises(KeyError, match="no declared factor"):
+            ring.psi_factor_index((5,) * problem.rank)
