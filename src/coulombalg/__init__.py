@@ -23,9 +23,7 @@ from .coulomb import (
     mu_zero_fiber,
     pure_branch,
     reynolds,
-    set_mu_zero,
     to_blowup_polynomial,
-    toda_base_membership,
     translate_by_section,
     weyl_group,
     weyl_symmetrized_generators,
@@ -38,7 +36,7 @@ from .errors import (
     ReductionError,
     TableMismatchError,
 )
-from .fracs import FactoredFraction, FactorSet, same_value, unit_decompose
+from .fracs import FactoredFraction, FactorSet, unit_decompose
 from .groebner import (
     GREVLEX,
     LEX,
@@ -46,14 +44,12 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     MonomialOrder,
-    TagMembership,
     buchberger,
     elimination_order,
     encode_ring,
     evaluate_tags,
     normal_form,
     ring_map_kernel,
-    subalgebra_membership,
 )
 from .morphisms import RingMorphism, identity_morphism
 from .parsing import parse_expression
@@ -86,7 +82,6 @@ from .shmodel import (
     seidel_operator,
     symplectic_cohomology,
     verify_diagram,
-    weyl_eta_morphisms,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Subcommands: pure-branch, blowup, weyl-invariants, euler-section, translate,
 membership, generators, presentation, mu-zero, seidel, sh, map,
-verify-diagram.  Common flags: --problem FILE, --expr STRING, --degree D,
---format text|json, --side tau|eta.
+verify-diagram.  Common flags: --problem FILE, --expr STRING, --degree D
+(problems without SU(2) blocks), --format text|json, --side tau|eta.
 
 Exit codes: 0 success, 1 mathematical failure (non-membership, diagram
 failure), 2 input error.  Output is deterministic: identical invocations
@@ -164,12 +164,14 @@ def _cmd_membership(ctx: _Context) -> int:
 
 def _generators(ctx: _Context):
     """The file's generators; on abelian problems --degree picks the window."""
-    if ctx.args.degree is not None and ctx.problem.datum.su2_blocks == 0:
-        return [
-            (n, ctx.ring.fraction(p))
-            for n, p in coulomb.abelian_matter_generators(ctx.ring, ctx.args.degree)
-        ]
-    return default_generators(ctx.ring, ctx.problem_file)
+    if ctx.args.degree is None:
+        return default_generators(ctx.ring, ctx.problem_file)
+    if ctx.problem.datum.su2_blocks:
+        raise ProblemError("--degree applies only to problems without SU(2) blocks")
+    return [
+        (n, ctx.ring.fraction(p))
+        for n, p in coulomb.abelian_matter_generators(ctx.ring, ctx.args.degree)
+    ]
 
 
 def _cmd_generators(ctx: _Context) -> int:
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--problem", required=True, help="problem description file")
         p.add_argument("--expr", default=None, help="element expression")
-        p.add_argument("--degree", type=int, default=None, help="z-degree window")
+        p.add_argument("--degree", type=int, default=None, help="z-degree window (no SU(2) blocks)")
         p.add_argument("--side", choices=("tau", "eta"), default="tau")
         p.add_argument("--format", choices=("text", "json"), default="text")
     return parser

@@ -188,9 +188,6 @@ class SectionSpec:
         spec.__dict__.update(problem=problem, side=side, target=target, entries=entries)
         return spec
 
-    def entry(self, z_name: str) -> FactoredFraction:
-        return dict(self.entries)[z_name]
-
     def inverse(self) -> "SectionSpec":
         return SectionSpec(
             self.problem,
@@ -291,23 +288,6 @@ def _weyl_average(ring: AmbientRing, value: FactoredFraction) -> FactoredFractio
     """Weyl average of a value that is already expanded."""
     group = weyl_group(ring)
     return factored_sum(ring.factors, (w(value) for w in group)) * Fraction(1, len(group))
-
-
-def is_weyl_invariant(ring: AmbientRing, f: Element) -> bool:
-    value = expand(ring, f)
-    return _weyl_average(ring, value) == value
-
-
-def toda_base_membership(ring: AmbientRing, f: Element) -> bool:
-    """Whether f lies in the integrable-system base: Weyl-invariant in tau, mu."""
-    frac = _as_fraction(ring, f)
-    if not frac.is_polynomial:
-        return False
-    allowed = {ring.table.index("mu")}
-    allowed.update(ring.table.index(n) for n in ring.tau_names)
-    if not frac.numerator.used_indices() <= allowed:
-        return False
-    return is_weyl_invariant(ring, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +397,8 @@ def translation_regular_by_division(ring: AmbientRing, f: Element) -> bool:
     a member and its translate are regular, and a value is regular exactly
     when its fully reduced form has no denominator (abelian) or only
     block-tau denominators that the chart absorbs (SU(2) blocks).
+
+    The benchmark gate's independent route, in the library only as perfbench/workloads.py imports it.
     """
     expanded = expand(ring, f)
     values = (expanded, euler_translation(ring)(expanded))
@@ -571,12 +553,6 @@ def matter_presentation(
 # ---------------------------------------------------------------------------
 # The zero-mass fiber
 # ---------------------------------------------------------------------------
-
-
-def set_mu_zero(f: Element) -> ExactPolynomial:
-    """Evaluate a polynomial element at mu = 0 (table unchanged)."""
-    poly = f.as_polynomial() if isinstance(f, FactoredFraction) else f
-    return poly.assign_zero(poly.table.index("mu"))
 
 
 def mu_zero_fiber(presentation: RingPresentation) -> RingPresentation:

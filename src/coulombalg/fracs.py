@@ -484,8 +484,3 @@ def unit_decompose(
     or return None when p is zero or leaves a residue (``factor_decompose``)."""
     parts = None if p.is_zero else factor_decompose(factors, p)
     return None if parts is None or parts[3] is not None else parts[:3]
-
-
-def same_value(a: FactoredFraction, b: FactoredFraction) -> bool:
-    """Cross-multiplied equality check, independent of the reduction code path."""
-    return a.numerator * b.denominator_polynomial() == b.numerator * a.denominator_polynomial()

@@ -32,7 +32,7 @@ from functools import partial
 from heapq import heappop, heappush
 from math import gcd
 from operator import add, le, neg, sub
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fracs import FactoredFraction, FactorSet
 from .morphisms import RingMorphism
@@ -363,9 +363,6 @@ class EncodedRing:
             terms[key] = terms.get(key, Fraction(0)) + coeff
         return ExactPolynomial(self.table, terms)
 
-    def tag_poly(self, i: int) -> ExactPolynomial:
-        return self.table.var(self.tags[i])
-
 
 def encode_ring(
     factors: FactorSet,
@@ -410,92 +407,41 @@ def encode_ring(
     return enc
 
 
-def _tagged_elimination(
-    factors: FactorSet,
-    generators: Sequence[tuple[str, FactoredFraction]],
-    ambient_relations: Sequence[ExactPolynomial],
-    extra: Sequence[FactoredFraction] = (),
-) -> tuple[EncodedRing, VariableTable, GroebnerBasis]:
-    """Elimination basis of the graph ideal that tags each named generator.
-
-    Denominators of the generators and of the ``extra`` elements get
-    auxiliary inverses.  Returns the encoded ring, the polynomial table on
-    the generator names and the basis under the order that eliminates every
-    non-tag variable.
-    """
-    names = [n for n, _ in generators]
-    elements = [img for _, img in generators] + list(extra)
-    cleared = {idx for img in elements for idx, _ in img.denominator}
-    enc = encode_ring(factors, cleared, tags=names, extra_relations=ambient_relations)
-    relations = list(enc.relations)
-    for i, (_, img) in enumerate(generators):
-        relations.append(enc.encode(img) - enc.tag_poly(i))
-    gb = buchberger(Ideal(enc.table, tuple(relations)), elimination_order(enc.block_size))
-    return enc, VariableTable(tuple(names), (False,) * len(names)), gb
-
-
-def _on_tags(
-    p: ExactPolynomial, enc: EncodedRing, tag_table: VariableTable
-) -> Optional[ExactPolynomial]:
-    """``p`` over the tag table, or None when it uses an eliminated variable."""
-    block = enc.block_size
-    if any(pos < block for pos in p.used_indices()):
-        return None
-    return ExactPolynomial(tag_table, {m[block:]: c for m, c in p.terms.items()})
-
-
 def ring_map_kernel(
     images: Sequence[tuple[str, FactoredFraction]],
     ambient_relations: Sequence[ExactPolynomial] = (),
 ) -> Ideal:
     """Ideal of all relations among named elements of a localized ring.
 
-    The graph ideal of the assignment is formed over the encoded ring and
-    the ambient variables are eliminated; what survives on the tags is the
-    kernel of the induced map from the free polynomial ring on the names.
+    The graph ideal of the assignment, each name a tag variable, is formed
+    over the encoded ring (the images' denominators cleared) and the other
+    variables are eliminated; what survives on the tags is the kernel of
+    the induced map from the free polynomial ring on the names.
     """
     if not images:
         raise ValueError("no images supplied")
     names = [n for n, _ in images]
     if len(set(names)) != len(names):
         raise ValueError("generator names must be distinct")
-    enc, tag_table, gb = _tagged_elimination(images[0][1].factors, images, ambient_relations)
-    kept = [_on_tags(g, enc, tag_table) for g in gb.basis]
-    return Ideal(tag_table, tuple(g for g in kept if g is not None))
-
-
-@dataclass(frozen=True)
-class TagMembership:
-    """Outcome of a subalgebra membership test by tag elimination."""
-
-    expressible: bool
-    witness: Optional[ExactPolynomial]  # over the tag table, when expressible
-    tag_table: VariableTable
-
-    def __bool__(self) -> bool:
-        return self.expressible
-
-
-def subalgebra_membership(
-    f: FactoredFraction,
-    generators: Sequence[tuple[str, FactoredFraction]],
-    ambient_relations: Sequence[ExactPolynomial] = (),
-) -> TagMembership:
-    """Decide whether ``f`` lies in the subalgebra the named generators span.
-
-    The normal form of ``f`` against the tagged elimination basis uses tag
-    variables only exactly when ``f`` is expressible; the normal form is then
-    a witness polynomial that re-evaluates to ``f``.
-    """
-    if not generators:
-        raise ValueError("no generators supplied")
-    enc, tag_table, gb = _tagged_elimination(f.factors, generators, ambient_relations, (f,))
-    witness = _on_tags(gb.reduce(enc.encode(f)), enc, tag_table)
-    return TagMembership(witness is not None, witness, tag_table)
+    cleared = {idx for _, img in images for idx, _ in img.denominator}
+    enc = encode_ring(images[0][1].factors, cleared, tags=names, extra_relations=ambient_relations)
+    block = enc.block_size
+    graph = tuple(enc.encode(img) - enc.table.var(tag) for tag, (_, img) in zip(enc.tags, images))
+    gb = buchberger(Ideal(enc.table, enc.relations + graph), elimination_order(block))
+    tag_table = VariableTable(tuple(names), (False,) * len(names))
+    kept = [
+        ExactPolynomial(tag_table, {m[block:]: c for m, c in g.terms.items()})
+        for g in gb.basis
+        if all(pos >= block for pos in g.used_indices())
+    ]
+    return Ideal(tag_table, tuple(kept))
 
 
 def evaluate_tags(
     witness: ExactPolynomial, generators: Sequence[tuple[str, FactoredFraction]]
 ) -> FactoredFraction:
-    """Evaluate a tag-variable polynomial at the generator elements."""
+    """Evaluate a tag-variable polynomial at the generator elements.
+
+    The benchmark gate's independent route, in the library only as perfbench/workloads.py imports it.
+    """
     return RingMorphism(witness.table, generators[0][1].factors, dict(generators))(witness)

@@ -119,9 +119,6 @@ class RingMorphism:
         images = {name: outer(self.images[name]) for name in self.source.names}
         return RingMorphism(self.source, outer.target, images)
 
-    def fixes_variables(self, names) -> bool:
-        return all(self.images[n] == self.target.var(n) for n in names)
-
 
 def identity_morphism(factors: FactorSet) -> RingMorphism:
     table = factors.table

@@ -83,20 +83,6 @@ class CoulombProblem:
     def rank(self) -> int:
         return self.datum.rank
 
-    def reflected_weight(self, block: int, weight: Weight) -> Weight:
-        pos = self.datum.block_coordinate(block)
-        out = list(weight)
-        out[pos] = -out[pos]
-        return tuple(out)
-
-    def is_weyl_stable(self) -> bool:
-        """Whether the weight multiset is a genuine representation of G."""
-        bag = sorted(self.weights)
-        for k in range(self.datum.su2_blocks):
-            if sorted(self.reflected_weight(k, w) for w in self.weights) != bag:
-                return False
-        return True
-
     def distinct_weights(self) -> list[Weight]:
         seen: list[Weight] = []
         for w in self.weights:

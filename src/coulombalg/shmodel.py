@@ -149,17 +149,6 @@ def acceleration_membership(g: FactoredFraction) -> bool:
     return g.is_polynomial
 
 
-def weyl_eta_morphisms(problem: CoulombProblem) -> list[RingMorphism]:
-    """Per-block eta sign flips intertwining the branch Weyl action."""
-    ring = equivariant_ring(problem)
-    out = []
-    for k in range(problem.datum.su2_blocks):
-        pos = problem.datum.block_coordinate(k)
-        images = {ring.eta_names[pos]: ring.fraction(-ring.eta(pos))}
-        out.append(RingMorphism(ring.table, ring.factors, images))
-    return out
-
-
 @dataclass(frozen=True)
 class DiagramEntry:
     name: str

@@ -1,4 +1,6 @@
-"""Shared fixtures and seeded random element generators."""
+"""Shared fixtures, seeded random element generators, and the check-only
+routes: reference implementations and test-side helpers that no serving
+path of the library uses."""
 
 from __future__ import annotations
 
@@ -7,7 +9,9 @@ import importlib.util
 import random
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 from pathlib import Path
 
 import pytest
@@ -19,10 +23,15 @@ from coulombalg import (
     ExpressionError,
     FactoredFraction,
     GroebnerBasis,
+    Ideal,
     ReductionError,
+    RingMorphism,
     VariableTable,
     ambient_table,
+    buchberger,
     coulomb,
+    elimination_order,
+    encode_ring,
     shmodel,
 )
 from coulombalg.fracs import factored_sum
@@ -298,6 +307,98 @@ def is_groebner_basis(gb: GroebnerBasis) -> bool:
             if not remainder.is_zero:
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class TagMembership:
+    """Outcome of a subalgebra membership test by tag elimination."""
+
+    expressible: bool
+    witness: Optional[ExactPolynomial]  # over the tag table, when expressible
+    tag_table: VariableTable
+
+    def __bool__(self) -> bool:
+        return self.expressible
+
+
+def subalgebra_membership(f, generators, ambient_relations=()) -> TagMembership:
+    """Decide whether ``f`` lies in the subalgebra the named generators span.
+
+    The graph ideal tags each generator, the denominators of the generators
+    and of ``f`` get auxiliary inverses, and every non-tag variable is
+    eliminated.  The normal form of ``f`` uses tag variables only exactly
+    when ``f`` is expressible; it is then a witness polynomial that
+    re-evaluates to ``f``.
+    """
+    if not generators:
+        raise ValueError("no generators supplied")
+    names = [n for n, _ in generators]
+    cleared = {idx for img in [g for _, g in generators] + [f] for idx, _ in img.denominator}
+    enc = encode_ring(f.factors, cleared, tags=names, extra_relations=ambient_relations)
+    block = enc.block_size
+    graph = tuple(enc.encode(g) - enc.table.var(tag) for tag, (_, g) in zip(enc.tags, generators))
+    gb = buchberger(Ideal(enc.table, enc.relations + graph), elimination_order(block))
+    tag_table = VariableTable(tuple(names), (False,) * len(names))
+    reduced = gb.reduce(enc.encode(f))
+    if any(pos < block for pos in reduced.used_indices()):
+        return TagMembership(False, None, tag_table)
+    witness = ExactPolynomial(tag_table, {m[block:]: c for m, c in reduced.terms.items()})
+    return TagMembership(True, witness, tag_table)
+
+
+def toda_base_membership(ring: AmbientRing, f) -> bool:
+    """Whether f lies in the integrable-system base: a polynomial in the
+    Cartan coordinates and mu that the Weyl average fixes."""
+    frac = f if isinstance(f, FactoredFraction) else ring.fraction(f)
+    if not frac.is_polynomial:
+        return False
+    allowed = {ring.table.index(n) for n in ("mu", *ring.tau_names)}
+    if not frac.numerator.used_indices() <= allowed:
+        return False
+    return coulomb.reynolds(ring, frac) == coulomb.expand(ring, frac)
+
+
+def set_mu_zero(f) -> ExactPolynomial:
+    """Evaluate a polynomial element at mu = 0 (table unchanged)."""
+    poly = f.as_polynomial() if isinstance(f, FactoredFraction) else f
+    return poly.assign_zero(poly.table.index("mu"))
+
+
+def section_entry(section, z_name: str) -> FactoredFraction:
+    """The entry of a ``SectionSpec`` for one z coordinate."""
+    return dict(section.entries)[z_name]
+
+
+def same_value(a: FactoredFraction, b: FactoredFraction) -> bool:
+    """Cross-multiplied equality check, independent of the reduction code path."""
+    return a.numerator * b.denominator_polynomial() == b.numerator * a.denominator_polynomial()
+
+
+def weyl_eta_morphisms(problem: CoulombProblem) -> list:
+    """Per-block eta sign flips intertwining the branch Weyl action."""
+    ring = shmodel.equivariant_ring(problem)
+    out = []
+    for k in range(problem.datum.su2_blocks):
+        pos = problem.datum.block_coordinate(k)
+        images = {ring.eta_names[pos]: ring.fraction(-ring.eta(pos))}
+        out.append(RingMorphism(ring.table, ring.factors, images))
+    return out
+
+
+def is_weyl_stable(problem: CoulombProblem) -> bool:
+    """Whether the weight multiset is a genuine representation of G: each
+    block's reflection, which negates its coordinate, permutes the weights."""
+    bag = sorted(problem.weights)
+    for k in range(problem.datum.su2_blocks):
+        pos = problem.datum.block_coordinate(k)
+        if sorted(w[:pos] + (-w[pos],) + w[pos + 1 :] for w in problem.weights) != bag:
+            return False
+    return True
+
+
+def fixes_variables(morphism, names) -> bool:
+    """Whether ``morphism`` sends each named variable to itself."""
+    return all(morphism.images[n] == morphism.target.var(n) for n in names)
 
 
 def rand_member(rng: random.Random, ring: AmbientRing, generators, size: int = 3):

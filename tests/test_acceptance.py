@@ -31,7 +31,6 @@ from coulombalg import (
     reynolds,
     ring_map_kernel,
     section_homomorphism,
-    set_mu_zero,
     standard_block_generators,
     symplectic_cohomology,
     to_blowup_polynomial,
@@ -46,6 +45,7 @@ from conftest import (
     rand_blowup_element,
     rand_member,
     rand_pure_element,
+    set_mu_zero,
 )
 
 

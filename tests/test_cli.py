@@ -152,6 +152,13 @@ def test_degree_below_one_exits_2(capsys, u1_file, command, degree):
     assert "degree window must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", ["generators", "presentation", "mu-zero"])
+def test_degree_on_su2_problem_exits_2(capsys, su2_file, command):
+    code, out, err = run(capsys, command, "--problem", su2_file, "--degree", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --degree applies only to problems without SU(2) blocks\n"
+
+
 def test_presentation_default_generators(capsys, u1_file):
     code, out, _ = run(capsys, "presentation", "--problem", u1_file)
     assert code == 0

@@ -16,10 +16,15 @@ from coulombalg import (
     fracs,
     matter_membership,
     poly,
-    same_value,
     unit_decompose,
 )
-from conftest import benchmark_workloads, rand_polynomial, reference_divide, reference_sum
+from conftest import (
+    benchmark_workloads,
+    rand_polynomial,
+    reference_divide,
+    reference_sum,
+    same_value,
+)
 
 TABLE = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (TABLE.var(n) for n in ("mu", "tau", "z"))

@@ -17,9 +17,8 @@ from coulombalg import (
     elimination_order,
     evaluate_tags,
     ring_map_kernel,
-    subalgebra_membership,
 )
-from conftest import divide, is_groebner_basis, rand_polynomial
+from conftest import divide, is_groebner_basis, rand_polynomial, subalgebra_membership
 
 # Encoded (Laurent-free) table: z with partner zi, then tau, u, mu.
 ENC = VariableTable.make(

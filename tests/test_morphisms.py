@@ -13,11 +13,10 @@ from coulombalg import (
     coulomb,
     fracs,
     identity_morphism,
-    same_value,
     shmodel,
 )
 from coulombalg.fracs import factor_decompose
-from conftest import benchmark_workloads, rand_polynomial, reference_apply
+from conftest import benchmark_workloads, rand_polynomial, reference_apply, same_value
 
 SRC = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (SRC.var(n) for n in ("mu", "tau", "z"))

@@ -21,10 +21,14 @@ from coulombalg import (
     standard_block_generators,
     symplectic_cohomology,
     verify_diagram,
-    weyl_eta_morphisms,
     weyl_generator_morphisms,
 )
-from conftest import rand_blowup_element, rand_pure_element, rand_abelian_problem
+from conftest import (
+    rand_abelian_problem,
+    rand_blowup_element,
+    rand_pure_element,
+    weyl_eta_morphisms,
+)
 
 
 def test_seidel_operator_values(u1_pm1):
