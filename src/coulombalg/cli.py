@@ -168,6 +168,8 @@ def _generators(ctx: _Context):
         return default_generators(ctx.ring, ctx.problem_file)
     if ctx.problem.datum.su2_blocks:
         raise ProblemError("--degree applies only to problems without SU(2) blocks")
+    if ctx.problem_file.generator_overrides:
+        raise ProblemError("--degree conflicts with the file's generator lines")
     return [
         (n, ctx.ring.fraction(p))
         for n, p in coulomb.abelian_matter_generators(ctx.ring, ctx.args.degree)

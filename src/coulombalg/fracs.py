@@ -16,7 +16,10 @@ in Henrici's gcd-free rational arithmetic (Knuth, TAOCP vol. 2, 4.5.1), a
 product can only cancel a factor of one denominator out of the other
 numerator, a sum only a factor two or more of its terms carry to the top
 exponent, and powers, negations and inverses cancel nothing.  Every sum, of
-two values or of many terms, is one ``factored_sum``, and every trial
+two values or of many terms, is one ``factored_sum``, which multiplies and
+adds integer numerators over monomials packed into single ints (the packing
+is linear, and each call picks a field width wide enough for its exponents
+to round-trip), and every trial
 division by a declared factor, here or in ``coulomb``, runs in the one loop
 ``FactorSet.divide``.  Results are built through the trusting
 ``FactoredFraction._reduced``; the public constructor reduces its input.
@@ -26,11 +29,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from itertools import chain
+from math import lcm
 from typing import Iterable, Optional
 
 from .errors import ReductionError, TableMismatchError
-from .poly import ExactPolynomial, Monomial, VariableTable, exact_divide
+from .poly import (
+    ExactPolynomial,
+    Monomial,
+    VariableTable,
+    _pack,
+    _packed_power,
+    _packed_product,
+    _packed_terms,
+    _unpacked,
+    exact_divide,
+)
 
 
 def _is_linear_in_plain_vars(p: ExactPolynomial) -> bool:
@@ -75,9 +89,12 @@ class FactorSet:
     factors: tuple[ExactPolynomial, ...]
     # Each factor's variable positions: the screen of every trial division.
     variables: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # Each factor's largest |exponent|: its share of a product's exponent bound.
+    heights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen: list[ExactPolynomial] = []
+        monic: set[frozenset] = set()  # proportional factors share a monic form
+        heights = []
         for f in self.factors:
             if f.table != self.table:
                 raise TableMismatchError("factor over a different variable table")
@@ -86,14 +103,20 @@ class FactorSet:
             _, lead = f.leading()
             if lead <= 0:
                 raise ValueError(f"factor not sign-normalized: {f!r}")
-            if not (_is_unit_monomial(f) or _is_linear_in_plain_vars(f)):
+            if _is_unit_monomial(f):
+                heights.append(max(map(abs, next(iter(f.terms)))))
+            elif _is_linear_in_plain_vars(f):
+                heights.append(1)
+            else:
                 raise ValueError(f"factor shape not supported: {f!r}")
-            for g in seen:
-                if _proportional(f, g):
-                    raise ValueError(f"proportional factors declared: {f!r}")
-            seen.append(f)
+            terms = f.terms.items()
+            form = frozenset(terms if lead == 1 else ((m, c / lead) for m, c in terms))
+            if form in monic:
+                raise ValueError(f"proportional factors declared: {f!r}")
+            monic.add(form)
         variables = tuple(tuple(sorted(f.used_indices())) for f in self.factors)
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "heights", tuple(heights))
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -165,19 +188,6 @@ class FactorSet:
             if rest := (limit or 0) - divided:
                 left[idx] = rest
         return num, left
-
-
-def _proportional(f: ExactPolynomial, g: ExactPolynomial) -> bool:
-    if set(f.terms) != set(g.terms):
-        return False
-    ratio = None
-    for mono, coeff in f.terms.items():
-        r = coeff / g.terms[mono]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
 
 
 class FactoredFraction:
@@ -385,8 +395,20 @@ def factored_sum(factors: FactorSet, terms: Iterable) -> FactoredFraction:
     too: only factors two or more terms reach are trial-divided.  Factor
     products, keyed by their (index, exponent) pairs, are built once per
     call, each from its longest cached prefix.
+
+    Products and the sum run over integers and packed monomials (``poly``'s
+    packed helpers): each term is an integer polynomial over its own
+    denominator, scaled once to their lcm L, all are summed in one int dict,
+    and each surviving monomial is unpacked once, into one Fraction(n, L).
+    Packing e to sum(e_i << (i * W)) is linear, so a product or a shift adds
+    packed ints; it is injective while every |e_i| < 2^(W-1).  Every exponent
+    a term's product can hold is at most the bound B: its factor exponents
+    times the factors' heights, plus the largest |exponent| of its residue
+    and of its shift.  So W, one sign bit more than B needs, is fixed per
+    call from the largest B of its terms.
     """
-    unit = factors.table.unit_monomial()
+    table = factors.table
+    unit = table.unit_monomial()
     cleared = []
     top: dict[int, int] = {}  # lowest exponent of each factor over the terms
     reach: dict[int, int] = {}  # how many terms reach it
@@ -401,34 +423,46 @@ def factored_sum(factors: FactorSet, terms: Iterable) -> FactoredFraction:
                 top[idx], reach[idx] = e, 1
             elif e < 0 and e == top[idx]:
                 reach[idx] += 1
-    cache: dict[tuple, ExactPolynomial] = {}
-    total: dict = {}
-    one = ((unit, Fraction(1)),)
+    bound = 0  # of every |exponent| in a term's products and in the sum
+    keyed = []
     for coeff, shift, powers, residue in cleared:
         key = tuple(sorted(
             (idx, n) for idx in powers.keys() | top.keys()
             if (n := powers.get(idx, 0) - top.get(idx, 0))
         ))
+        b = max(map(abs, shift)) + sum(n * factors.heights[idx] for idx, n in key)
+        if residue is not None:
+            b += max(map(abs, chain.from_iterable(residue.terms)), default=0)
+        bound = max(bound, b)
+        keyed.append((coeff, shift, key, residue))
+    width, arity = bound.bit_length() + 1, len(table)
+    radix = tuple(1 << shift for shift in range(0, arity * width, width))
+    cache: dict[tuple, tuple[dict[int, int], int]] = {}
+    parts = []  # (packed numerator, denominator, coefficient numerator, packed shift)
+    for coeff, shift, key, residue in keyed:
         num = None
         for i, (idx, n) in enumerate(key):
             prefix, power = key[:i + 1], key[i:i + 1]
             if prefix not in cache:
                 if power not in cache:
-                    cache[power] = factors.factors[idx] ** n
-                cache[prefix] = cache[power] if num is None else num * cache[power]
+                    cache[power] = _packed_power(_packed_terms(factors.factors[idx], radix), n)
+                cache[prefix] = cache[power] if num is None else _packed_product(num, cache[power])
             num = cache[prefix]
         if residue is not None:
-            num = residue if num is None else num * residue
-        scaled, shifted = coeff != 1, any(shift)
-        for m, c in one if num is None else num.terms.items():
-            if shifted:
-                m = tuple(map(add, m, shift))
-            value = total.get(m, 0) + (coeff * c if scaled else c)
-            if value:
-                total[m] = value
-            else:
-                del total[m]
-    num = ExactPolynomial._unchecked(factors.table, total)
+            r = _packed_terms(residue, radix)
+            num = r if num is None else _packed_product(num, r)
+        sums, den = ({0: 1}, 1) if num is None else num
+        parts.append((sums, den * coeff.denominator, coeff.numerator, _pack(shift, radix)))
+    den = lcm(*(d for _, d, _, _ in parts))
+    total: dict[int, int] = {}
+    get = total.get
+    for sums, d, c, s in parts:
+        scale = c * (den // d)
+        for k, n in sums.items():
+            k += s
+            total[k] = get(k, 0) + n * scale
+    total = _unpacked(total, den, width, arity)
+    num = ExactPolynomial._unchecked(table, total)
     if not total:
         return FactoredFraction._reduced(factors, num, ())
     contested, denominator = {}, {}

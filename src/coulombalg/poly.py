@@ -11,7 +11,9 @@ so every value has exactly one representation.
 
 Products and exact division run on integers: each operand is written as
 integer numerators over the lcm of its denominators for the length of one
-call, and one ``Fraction`` is built per result term.  Exact division rests
+call, and one ``Fraction`` is built per result term.  The packed helpers
+below do the same over monomials packed into single ints, for the products
+and the sum of ``fracs.factored_sum``.  Exact division rests
 on one fact, Gauss's lemma: when the divisor divides, the cleared dividend
 is an integral multiple of the primitive divisor.  So a nonzero value of the
 dividend modulo the prime 2^61 - 1 at a point where a linear divisor
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, lt, sub
+from operator import add, lt, mul, sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import TableMismatchError
@@ -357,6 +359,63 @@ def _integer_terms(p: ExactPolynomial) -> tuple[list, int]:
     denominators."""
     den = lcm(*(c.denominator for c in p.terms.values()))
     return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
+
+
+# Packed integer polynomials, for the length of one ``fracs.factored_sum``
+# call: (terms, D) with terms a map {packed monomial: integer numerator} and
+# D their common denominator.  A monomial e packs to sum(e_i << (i * width)),
+# a linear map, so products and monomial shifts add packed ints.  It is
+# injective while every |e_i| < 2^(width-1); ``factored_sum`` picks the width.
+Packed = tuple[dict[int, int], int]
+
+
+def _pack(mono: Monomial, radix: tuple[int, ...]) -> int:
+    """The packed monomial, ``radix`` holding 1 << (i * width) per position."""
+    return sum(map(mul, mono, radix))
+
+
+def _packed_terms(p: ExactPolynomial, radix: tuple[int, ...]) -> Packed:
+    terms, den = _integer_terms(p)
+    return {_pack(m, radix): n for m, n in terms}, den
+
+
+def _packed_product(a: Packed, b: Packed) -> Packed:
+    """Product of two packed polynomials; zero sums are kept."""
+    sums: dict[int, int] = {}
+    get = sums.get
+    for k1, n1 in a[0].items():
+        for k2, n2 in b[0].items():
+            k = k1 + k2
+            sums[k] = get(k, 0) + n1 * n2
+    return sums, a[1] * b[1]
+
+
+def _packed_power(a: Packed, exponent: int) -> Packed:
+    """a ** exponent for exponent >= 1, by repeated products with a: cheaper
+    than squaring when a is sparse, as a declared factor is."""
+    power = a
+    for _ in range(exponent - 1):
+        power = _packed_product(power, a)
+    return power
+
+
+def _unpacked(sums: dict[int, int], den: int, width: int, arity: int) -> dict:
+    """The terms {monomial: Fraction(n, den)} of the nonzero sums.
+
+    A packed monomial is read as ``arity`` balanced base-2^width digits, each
+    in [-2^(width-1), 2^(width-1)): adding 2^(width-1) at every digit makes
+    them plain digits, read by shifts and masks, and taking it off again
+    restores the signed exponents.
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, arity * width, width)
+    bias = sum(half << shift for shift in shifts)
+    terms = {}
+    for k, n in sums.items():
+        if n:
+            k += bias
+            terms[tuple([(k >> shift & mask) - half for shift in shifts])] = Fraction(n, den)
+    return terms
 
 
 # Modulus of the non-divisibility certificate in ``exact_divide``, and the

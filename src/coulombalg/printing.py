@@ -25,13 +25,15 @@ def _monomial_str(table, mono: Monomial) -> str:
 
 
 def _term_str(table, mono: Monomial, coeff: Fraction) -> tuple[str, str]:
-    """(sign, body) of one term, with the sign split off for joining."""
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
+    """(sign, body) of one term, with the sign split off for joining.  The
+    magnitude is written from the integer numerator and denominator."""
+    num, den = coeff.numerator, coeff.denominator
+    sign = "-" if num < 0 else "+"
+    mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
     body = _monomial_str(table, mono)
     if not body:
-        return sign, str(mag)
-    if mag == 1:
+        return sign, mag
+    if mag == "1":
         return sign, body
     return sign, f"{mag}*{body}"
 

@@ -159,6 +159,15 @@ def test_degree_on_su2_problem_exits_2(capsys, su2_file, command):
     assert err == "error: --degree applies only to problems without SU(2) blocks\n"
 
 
+@pytest.mark.parametrize("command", ["generators", "presentation", "mu-zero"])
+def test_degree_with_generator_lines_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "overrides.prob"
+    path.write_text(U1 + "generator a = z*(mu - tau)\ngenerator b = z^-1*(mu + tau)\n")
+    code, out, err = run(capsys, command, "--problem", str(path), "--degree", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --degree conflicts with the file's generator lines\n"
+
+
 def test_presentation_default_generators(capsys, u1_file):
     code, out, _ = run(capsys, "presentation", "--problem", u1_file)
     assert code == 0

@@ -486,3 +486,111 @@ def test_trial_division_counts(monkeypatch, fresh_caches):
     for req in requests:
         workloads.serve(req)
     assert (calls, failures) == (426, 171)
+
+
+
+KTABLE = VariableTable.make([
+    ("mu", False), ("t1", False), ("t2", False), ("t3", False), ("u", False),
+    ("z1", True), ("z2", True),
+])
+kmu, t1, t2, t3, u, z1, z2 = (KTABLE.var(n) for n in KTABLE.names)
+# Dense weight forms in three variables with a mass, and a single variable.
+# ``u`` and the Laurent variables carry the exponents in the thousands; the
+# forms' variables stay at low degree, where the reference's long division
+# by a form is quick.
+KFS = FactorSet(
+    KTABLE, (kmu + t1 + 2 * t2 - 3 * t3, kmu - 2 * t1 + t2 + 5 * t3, 3 * kmu + t1 - t2 - t3, t1)
+)
+P61 = 2 ** 61 - 1
+
+
+def kmono(u_exp=0, z1_exp=0, z2_exp=0, coeff=1):
+    return KTABLE.monomial((0, 0, 0, 0, u_exp, z1_exp, z2_exp), coeff)
+
+
+def kernel_term(coeff, shift, extra, num, den):
+    """A ``factored_sum`` term for coeff * shift * (num / den) * prod
+    f_i^extra_i, with num / den reduced by the public constructor first, and
+    that term's value, built through ``ExactPolynomial`` products."""
+    x = FactoredFraction(KFS, num, den)
+    powers = {**{i: -e for i, e in x.denominator}, **extra}
+    value = x.numerator.scaled(coeff).monomial_shifted(shift)
+    value = value * (KFS.product(extra.items()) or KTABLE.one())
+    return (coeff, shift, powers, x.numerator), FactoredFraction(KFS, value, x.denominator)
+
+
+def assert_sum_matches(terms, values):
+    result = fracs.factored_sum(KFS, terms)
+    assert result == reference_sum(KFS, values)
+    assert all(type(c) is Fraction and c for c in result.numerator.terms.values())
+    return result
+
+
+def test_packed_sum_edge_cases():
+    """``factored_sum`` against ``reference_sum`` where packed monomials need
+    wide fields: negative Laurent exponents, exponents in the thousands at
+    the top of their field (1024 needs one bit more than 1023), nested
+    powers, dense weight forms to powers 20 and more, coefficients over
+    2^61 - 1; the empty and one-term sums, and each sum plus its negation,
+    which cancels to zero."""
+    assert fracs.factored_sum(KFS, []) == KFS.zero()
+    unit = KTABLE.unit_monomial()
+    shift = kmono(0, -3, 2).leading()[0]
+    cases = [
+        [kernel_term(Fraction(3, 7), shift, {0: 20}, kmu + t2, [(3, 1)])],
+        [
+            kernel_term(1, unit, {0: 20}, t3 - 2, [(2, 1), (3, 2)]),
+            kernel_term(Fraction(-5, P61), unit, {1: 21}, kmu + 1, [(3, 1)]),
+            kernel_term(P61 ** 2, shift, {}, t2 * t3 + 1, [(2, 1)]),
+        ],
+        [kernel_term(1, unit, {}, kmono(1024), [])],
+        [kernel_term(1, unit, {}, kmono(0, -1024), [])],
+        [
+            kernel_term(1, kmono(0, -1023).leading()[0], {}, kmono(1023, 0, 5), []),
+            kernel_term(2, kmono(0, 0, 1024).leading()[0], {3: 1}, kmu + 1, [(0, 1)]),
+        ],
+        [
+            kernel_term(
+                Fraction(P61, 3), kmono(0, -2047, 1).leading()[0], {1: 2},
+                (kmono(40) ** 50 + t3) * kmono(0, -5) ** 3, [(0, 2)],
+            ),
+            kernel_term(Fraction(1, P61), unit, {1: 2}, kmono(3000, 1, -4095) * t3, [(0, 1)]),
+            kernel_term(-1, unit, {}, kmono(4095, 0, -1) + 1, [(0, 2), (2, 1)]),
+        ],
+    ]
+    for pairs in cases:
+        terms, values = [t for t, _ in pairs], [v for _, v in pairs]
+        assert_sum_matches(terms, values)
+        negated = [(-c, s, p, r) for c, s, p, r in terms]
+        result = assert_sum_matches(terms + negated, values + [-v for v in values])
+        assert result.is_zero and result.denominator == ()
+
+
+def test_packed_sum_matches_reference_on_seeded_sums():
+    """Seeded sums of 0 to 4 terms mixing the same features: random reduced
+    values over random denominators, times powers of factors they lack,
+    shifted by Laurent monomials, with exponents up to the thousands and
+    coefficients over 2^61 - 1; every fourth sum cancels to zero."""
+    rng = random.Random(59)
+    cancelled = 0
+    for k in range(80):
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            big = rng.choice((2, 40, 3000))
+            num = KTABLE.zero()
+            while num.is_zero:
+                num = rand_polynomial(rng, KTABLE, max_terms=3, max_degree=2)
+            num = num * kmono(rng.randint(0, big), rng.randint(-big, big), rng.randint(-big, big))
+            den = {i: rng.randint(0, 2) for i in range(4)}
+            extra = {i: rng.randint(1, 3) for i in range(3) if not den[i] and rng.randrange(2)}
+            shift = kmono(0, rng.randint(-big, big), rng.randint(-big, big)).leading()[0]
+            coeff = rng.choice((1, -2, Fraction(3, 4), Fraction(P61, 2), Fraction(-1, P61)))
+            pairs.append(kernel_term(coeff, shift, extra, num, den.items()))
+        terms, values = [t for t, _ in pairs], [v for _, v in pairs]
+        if values and k % 4 == 1:
+            negated = -reference_sum(KFS, values)
+            terms.append(negated)
+            values.append(negated)
+        result = assert_sum_matches(terms, values)
+        cancelled += bool(values) and result.is_zero
+    assert cancelled >= 15
