@@ -279,15 +279,19 @@ def weyl_group(ring: AmbientRing) -> tuple[RingMorphism, ...]:
     return tuple(elements)
 
 
+@lru_cache(maxsize=None)
+def _expanded_weyl_group(ring: AmbientRing) -> tuple[RingMorphism, ...]:
+    """The composites "expand, then w", one per element w of ``weyl_group``."""
+    return tuple(expansion_morphism(ring).then(w) for w in weyl_group(ring))
+
+
 def reynolds(ring: AmbientRing, f: Element) -> FactoredFraction:
-    """Average over the Weyl group; a projector onto invariants."""
-    return _weyl_average(ring, expand(ring, f))
-
-
-def _weyl_average(ring: AmbientRing, value: FactoredFraction) -> FactoredFraction:
-    """Weyl average of a value that is already expanded."""
-    group = weyl_group(ring)
-    return factored_sum(ring.factors, (w(value) for w in group)) * Fraction(1, len(group))
+    """Average over the Weyl group, a projector onto invariants: one
+    ``factored_sum`` of the terms of f's images under the composites
+    "expand, then w", each scaled by 1/|W|."""
+    group = _expanded_weyl_group(ring)
+    scale = Fraction(1, len(group))
+    return factored_sum(ring.factors, [t for w in group for t in w.terms(f, scale)])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +492,7 @@ def weyl_symmetrized_generators(
     generated subalgebra.  Results are deduplicated up to scalar.
     """
     expanded = [(n, expand(ring, g)) for n, g in generators]
-    averages = [_weyl_average(ring, g) for _, g in expanded]
+    averages = [reynolds(ring, g) for _, g in expanded]
     invariant = {n: a == g for (n, g), a in zip(expanded, averages)}
     out: list[tuple[str, FactoredFraction]] = []
     seen: list[FactoredFraction] = []
@@ -508,7 +512,7 @@ def weyl_symmetrized_generators(
         for n2, g2 in expanded[i:]:
             if invariant[n1] or invariant[n2]:
                 continue
-            push(f"s_{n1}_{n2}", _weyl_average(ring, g1 * g2))
+            push(f"s_{n1}_{n2}", reynolds(ring, g1 * g2))
     return out
 
 

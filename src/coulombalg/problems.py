@@ -83,6 +83,8 @@ def parse_problem_text(text: str) -> ProblemFile:
                     raise ProblemError(
                         f"line {lineno}: generator lines read 'generator NAME = expr'"
                     )
+                if any(name == parts[1] for name, _ in overrides):
+                    raise ProblemError(f"line {lineno}: generator {parts[1]!r} named twice")
                 overrides.append((parts[1], value))
             else:
                 raise ProblemError(f"line {lineno}: unknown key {key!r}")

@@ -237,6 +237,31 @@ def reference_apply(morphism, p: ExactPolynomial):
     return reference_sum(morphism.target, terms)
 
 
+def reference_apply_fraction(morphism, f: FactoredFraction):
+    """Image of a fraction under ``morphism``: the numerator through
+    ``reference_apply``, times each denominator factor's image inverted
+    (through ``inverse``) and raised to its exponent, one product per factor.
+
+    Written out here as a second route: it never reads the morphism's
+    recorded factor images.
+    """
+    value = reference_apply(morphism, f.numerator)
+    for idx, exp in f.denominator:
+        value = value * reference_apply(morphism, f.factors.factors[idx]).inverse() ** exp
+    return value
+
+
+def reference_weyl_average(ring: AmbientRing, value: FactoredFraction):
+    """Weyl average of an expanded value: its images under the elements of
+    ``coulomb.weyl_group``, each through ``reference_apply_fraction``, added
+    one at a time with ``reference_sum``, then divided by the group order."""
+    group = coulomb.weyl_group(ring)
+    total = ring.factors.zero()
+    for w in group:
+        total = reference_sum(ring.factors, [total, reference_apply_fraction(w, value)])
+    return total * Fraction(1, len(group))
+
+
 def divide(p: ExactPolynomial, basis, order) -> tuple[ExactPolynomial, list[ExactPolynomial]]:
     """Plain multivariate division of ``p`` by the polynomials ``basis``.
 

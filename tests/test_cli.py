@@ -202,6 +202,15 @@ def test_generators_use_overrides_on_abelian_problems(capsys, tmp_path):
     assert code == 0 and out.splitlines()[0] == "generators: x"
 
 
+@pytest.mark.parametrize("command", ["generators", "presentation", "mu-zero", "verify-diagram"])
+def test_repeated_generator_name_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "twice.prob"
+    path.write_text(U1 + "generator a = z*(mu - tau)\ngenerator a = z^-1*(mu + tau)\n")
+    code, out, err = run(capsys, command, "--problem", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 6: generator 'a' named twice\n"
+
+
 def test_blowup_description(capsys, su2_file):
     code, out, _ = run(capsys, "blowup", "--problem", su2_file)
     assert code == 0

@@ -115,8 +115,8 @@ def test_reynolds_trivial_on_torus(u1_pm1):
 
 
 def test_expand_fixes_expanded_values(su2_standard):
-    # The Weyl averaging of already expanded values skips expand; this is
-    # what makes that sound.
+    # Averaging an already expanded value applies the composites "expand,
+    # then w" to it; this is what makes that sound.
     ring = su2_standard
     rng = random.Random(67)
     for _ in range(30):

@@ -10,13 +10,27 @@ from coulombalg import (
     MorphismError,
     RingMorphism,
     VariableTable,
+    ambient_table,
     coulomb,
     fracs,
     identity_morphism,
+    load_problem,
+    morphisms,
+    parse_problem_text,
     shmodel,
 )
 from coulombalg.fracs import factor_decompose
-from conftest import benchmark_workloads, rand_polynomial, reference_apply, same_value
+from conftest import (
+    ROOT,
+    benchmark_workloads,
+    rand_blowup_element,
+    rand_coeff,
+    rand_polynomial,
+    reference_apply,
+    reference_apply_fraction,
+    reference_weyl_average,
+    same_value,
+)
 
 SRC = VariableTable.make([("mu", False), ("tau", False), ("z", True)])
 mu, tau, z = (SRC.var(n) for n in ("mu", "tau", "z"))
@@ -81,19 +95,26 @@ def test_laurent_image_errors_name_the_fault():
 
 
 def test_denominator_factor_must_stay_in_set():
-    # tau -> z - 1 cannot transport a 1/tau denominator
+    # tau -> z - 1 cannot transport a 1/tau denominator, on any call.
     m = RingMorphism(SRC, FS, {"tau": FS.from_polynomial(z - 1)})
     bad = FactoredFraction(FS, z, ((FS.index_of(tau), 1),))
-    with pytest.raises(MorphismError):
-        m(bad)
+    text = ("denominator factor maps outside the multiplicative set: "
+            "numerator is not a unit of the localization; cannot invert")
+    for _ in range(2):
+        with pytest.raises(MorphismError) as info:
+            m(bad)
+        assert str(info.value) == text
 
 
 def test_denominator_factor_mapped_to_zero(u1_pm1):
-    # mu -> tau sends the factor mu - tau of a denominator to zero.
+    # mu -> tau sends the factor mu - tau of a denominator to zero, on any call.
     F = u1_pm1.factors
     m = RingMorphism(u1_pm1.table, F, {"mu": F.var("tau")})
-    with pytest.raises(MorphismError, match="maps outside the multiplicative set"):
-        m(F.one() / (F.var("mu") - F.var("tau")))
+    text = "denominator factor maps outside the multiplicative set: inverting the zero element"
+    for _ in range(2):
+        with pytest.raises(MorphismError) as info:
+            m(F.one() / (F.var("mu") - F.var("tau")))
+        assert str(info.value) == text
 
 
 def test_composition():
@@ -162,19 +183,39 @@ def test_term_through_zero_image_drops():
 
 
 def test_factored_route_matches_reference_on_query_workloads(monkeypatch, fresh_caches):
-    """Every polynomial a morphism applies over the first seed-1 round of each
-    query workload, checked against the term-by-term route."""
+    """Every polynomial and fraction a morphism applies, and every Weyl
+    average, over the first seed-1 round of each query workload, checked
+    against the term-by-term routes."""
     workloads = benchmark_workloads()
-    apply = RingMorphism.apply_polynomial
+    apply, apply_fraction, reynolds = (
+        RingMorphism.apply_polynomial, RingMorphism.apply_fraction, coulomb.reynolds
+    )
     checked = {}
+    averages = []
 
-    def compared(self, p):
-        value, expected = apply(self, p), reference_apply(self, p)
+    def compared(route, reference):
+        def wrapper(self, element):
+            value, expected = route(self, element), reference(self, element)
+            assert value == expected and same_value(value, expected)
+            checked[id(self)] = self
+            return value
+        return wrapper
+
+    def compared_average(ring, f):
+        value = reynolds(ring, f)
+        if not isinstance(f, FactoredFraction):
+            f = ring.fraction(f)
+        expanded = reference_apply_fraction(coulomb.expansion_morphism(ring), f)
+        expected = reference_weyl_average(ring, expanded)
         assert value == expected and same_value(value, expected)
-        checked[id(self)] = self
+        averages.append(value)
         return value
 
-    monkeypatch.setattr(RingMorphism, "apply_polynomial", compared)
+    monkeypatch.setattr(RingMorphism, "apply_polynomial", compared(apply, reference_apply))
+    monkeypatch.setattr(
+        RingMorphism, "apply_fraction", compared(apply_fraction, reference_apply_fraction)
+    )
+    monkeypatch.setattr(coulomb, "reynolds", compared_average)
     requests = next(workloads.abelian_rounds(1, 108))
     requests += next(workloads.su2_rounds(1, workloads.su2_catalog(), 108))
     rings = {workloads.serve(req).ring for req in requests}
@@ -186,3 +227,114 @@ def test_factored_route_matches_reference_on_query_workloads(monkeypatch, fresh_
     }
     for kind, morphisms in kinds.items():
         assert any(id(m) in checked for m in morphisms), kind
+    assert averages
+
+
+# ---------------------------------------------------------------------------
+# Fractions through every chart morphism, against the reference routes
+# ---------------------------------------------------------------------------
+
+
+def chart_rings():
+    """The three su2-chart problems and ``demos/problems/u1_pair.prob``."""
+    texts = list(benchmark_workloads().SU2_PROBLEMS)
+    problems = [parse_problem_text(t).problem() for t in texts]
+    problems.append(load_problem(ROOT / "demos" / "problems" / "u1_pair.prob").problem())
+    return [ambient_table(p) for p in problems]
+
+
+def rand_chart_fraction(rng, ring, i):
+    """A chart element over a random product of tau and weight-form factors;
+    every fifth one zero or a constant."""
+    if i % 5 == 0:
+        num = ring.table.constant(0 if i % 10 == 0 else rand_coeff(rng) or 1)
+    else:
+        num = rand_blowup_element(rng, ring)
+    table = ring.table
+    denominators = [
+        idx for idx, f in enumerate(ring.factors.factors)
+        if not any(table.laurent[pos] for pos in ring.factors.variables[idx])
+    ]
+    powers = [(idx, rng.randint(1, 2)) for idx in rng.sample(denominators, rng.randint(0, 3))]
+    return FactoredFraction(ring.factors, num, powers)
+
+
+def chart_morphisms(ring):
+    return [
+        ("expansion", coulomb.expansion_morphism(ring)),
+        ("Euler translation", coulomb.euler_translation(ring)),
+        ("section map", shmodel.section_homomorphism_map(ring)),
+        *((f"Weyl {i}", w) for i, w in enumerate(coulomb.weyl_group(ring))),
+        *((f"composite {i}", c) for i, c in enumerate(coulomb._expanded_weyl_group(ring))),
+    ]
+
+
+def test_fractions_match_reference_through_chart_morphisms():
+    rng = random.Random(31)
+    fractions = 0
+    for ring in chart_rings():
+        morphisms_ = chart_morphisms(ring)
+        for i in range(50):
+            f = rand_chart_fraction(rng, ring, i)
+            fractions += 1
+            for kind, m in morphisms_:
+                value, expected = m(f), reference_apply_fraction(m, f)
+                assert value == expected and same_value(value, expected), (kind, f)
+    assert fractions >= 200
+
+
+def test_weyl_averages_match_reference():
+    rng = random.Random(37)
+    for ring in chart_rings():
+        expansion = coulomb.expansion_morphism(ring)
+        for i in range(50):
+            f = rand_chart_fraction(rng, ring, i)
+            expanded = reference_apply_fraction(expansion, f)
+            expected = reference_weyl_average(ring, expanded)
+            for value in (coulomb.reynolds(ring, f), coulomb.reynolds(ring, expanded)):
+                assert value == expected and same_value(value, expected), f
+
+
+def test_second_application_makes_no_unit_decomposition(monkeypatch, su2_standard):
+    ring = su2_standard
+    m = RingMorphism(ring.table, ring.factors, {})  # a fresh, empty record
+    f = FactoredFraction(ring.factors, ring.u(0), [(idx, 1) for idx in range(3)])
+    calls = []
+    decompose = morphisms.unit_decompose
+
+    def counted(factors, p):
+        calls.append(p)
+        return decompose(factors, p)
+
+    monkeypatch.setattr(morphisms, "unit_decompose", counted)
+    first = m(f)
+    assert len(calls) == 3
+    assert m(f) == first and len(calls) == 3
+
+
+def test_fraction_over_reordered_factor_set():
+    # The record is filled from FS; an element over the same factors in
+    # another order must not read FS's indices.
+    scale = FactoredFraction(FS, mu + tau, ((FS.index_of(mu - tau), 1),))
+    m = RingMorphism(SRC, FS, {"z": FS.var("z") * scale, "tau": FS.from_polynomial(-tau)})
+    reordered = FactorSet(SRC, tuple(reversed(FS.factors)))
+    num = z * mu + tau ** 2
+    powers = ((tau, 1), (mu + tau, 2), (mu - tau, 1))
+    f = FactoredFraction(FS, num, [(FS.index_of(d), e) for d, e in powers])
+    g = FactoredFraction(reordered, num, [(reordered.index_of(d), e) for d, e in powers])
+    for h in (f, g, f, g):
+        value, expected = m(h), reference_apply_fraction(m, h)
+        assert value == expected and same_value(value, expected)
+
+
+def test_fractions_through_units_with_denominators_and_monomials():
+    # tau -> 3 z^2 tau (mu + tau) / (mu - tau): the image of a 1/tau^e
+    # denominator carries a coefficient, a monomial and a denominator.
+    image = FactoredFraction(FS, 3 * z ** 2 * tau * (mu + tau), ((FS.index_of(mu - tau), 1),))
+    m = RingMorphism(SRC, FS, {"tau": image})
+    rng = random.Random(41)
+    for _ in range(40):
+        num = rand_polynomial(rng, SRC, max_terms=3, max_degree=2, height=5)
+        f = FactoredFraction(FS, num, ((FS.index_of(tau), rng.randint(0, 3)),))
+        value, expected = m(f), reference_apply_fraction(m, f)
+        assert value == expected and same_value(value, expected)
